@@ -21,7 +21,6 @@ iterative caller splitting, with rejection as the sound fallback.
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass, field
 
@@ -190,7 +189,8 @@ def _optimize_core(
         tracer.count("decisions.accepted", len(plan.accepted()))
         tracer.count("decisions.rejected", len(plan.rejected()))
 
-    validate_program(outcome.program)
+    with tracer.span("opt.validate"):
+        validate_program(outcome.program)
     return outcome, result, plan, rounds
 
 
@@ -328,23 +328,26 @@ def optimize(
 
             The stage mutates ``outcome.program`` in place; on an
             exception — from the stage itself or from the IR validation
-            after it — the pre-stage snapshot is restored, a
+            after it — the pre-stage snapshot becomes the program, a
             ``stage.degraded`` event is emitted, and compilation
             continues with the remaining stages.  A transform bug thus
             yields a slower-but-correct build, never a crashed Session
-            (or daemon worker).  The snapshot is taken *outside* the
-            stage's span so phase timings stay comparable to the
-            unbracketed pipeline.
+            (or daemon worker).  The snapshot is structural
+            (:func:`~repro.ir.model.copy_program`): passes replace
+            instructions and mutate only containers, so the immutable
+            instructions can be shared.
             """
-            snapshot = pickle.dumps(outcome.program)
+            with tracer.span("opt.snapshot"):
+                snapshot = ir.copy_program(outcome.program)
             stage_started = time.perf_counter() if metrics.enabled else 0.0
             try:
                 with tracer.span(span):
                     stats = fn(outcome.program)
-                validate_program(outcome.program)
+                with tracer.span("opt.validate"):
+                    validate_program(outcome.program)
                 return stats
             except Exception as exc:  # noqa: BLE001 — any stage failure degrades
-                outcome.program = pickle.loads(snapshot)
+                outcome.program = snapshot
                 record = {
                     "stage": stage,
                     "error": f"{type(exc).__name__}: {exc}",

@@ -67,6 +67,46 @@ def copy_callable(callable_: "IRCallable") -> "IRCallable":
     )
 
 
+def copy_program(program: "IRProgram") -> "IRProgram":
+    """A structurally independent copy of a whole program.
+
+    The program, its classes, callables and blocks are fresh objects, and
+    so is every list, dict and set they hold; instructions, source
+    locations and :class:`InlinedFieldInfo` records are immutable and stay
+    shared.  Callables are copied once per object, so a callable reachable
+    under two names is still one object in the copy.
+    """
+    copies: dict[int, IRCallable] = {}
+
+    def copy_once(callable_: IRCallable) -> IRCallable:
+        copied = copies.get(id(callable_))
+        if copied is None:
+            copied = copies[id(callable_)] = copy_callable(callable_)
+        return copied
+
+    return IRProgram(
+        classes={
+            name: IRClass(
+                name=cls.name,
+                superclass=cls.superclass,
+                fields=list(cls.fields),
+                methods={
+                    method: copy_once(callable_)
+                    for method, callable_ in cls.methods.items()
+                },
+                inline_fields=set(cls.inline_fields),
+                inlined_state=dict(cls.inlined_state),
+                source_name=cls.source_name,
+            )
+            for name, cls in program.classes.items()
+        },
+        functions={
+            name: copy_once(callable_) for name, callable_ in program.functions.items()
+        },
+        global_names=list(program.global_names),
+    )
+
+
 # ----------------------------------------------------------------------
 # Instructions.
 

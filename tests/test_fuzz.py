@@ -23,6 +23,8 @@ from repro.fuzz import (
     run_fuzz,
     seeded_bug,
 )
+from repro.inlining import pipeline
+from repro.ir import format_program
 from repro.lang import parse_program
 from repro.lang.unparse import unparse_program
 from repro.obs.tracer import MemorySink, Tracer
@@ -53,6 +55,44 @@ def main() {
     print(b.total());
 }
 """
+
+#: Every scalar stage changes this program under the ``inline`` build, so
+#: a stage that fails after running for real leaves a mutated program
+#: for its rollback to undo.
+ROLLBACK_SOURCE = """
+class P {
+    var x;
+    def init(x) { this.x = x; }
+    def get() { return this.x; }
+}
+class B {
+    var inline p;
+    def init(v) { this.p = new P(v); }
+    def total() { return this.p.get() + 10; }
+}
+var keep = nil;
+def square(q) { return q.x * q.x; }
+def main() {
+    var b = new B(4);
+    var acc = 0;
+    for (var i = 0; i < 3; i = i + 1) {
+        acc = acc + b.total();
+    }
+    var q = new P(acc);
+    keep = q;
+    print(acc);
+    print(square(q));
+}
+"""
+
+#: (function patched on ``repro.inlining.pipeline``, ``degraded_stages``
+#: name), in pipeline order.
+SCALAR_STAGES = (
+    ("inline_methods", "inline_methods"),
+    ("apply_escape_optimization", "escape"),
+    ("eliminate_redundant_loads", "loadcse"),
+    ("eliminate_dead_code", "dce"),
+)
 
 
 class TestGenerator:
@@ -173,6 +213,47 @@ class TestSeededBugs:
         stages = {e["data"]["stage"] for e in degraded}
         expected = "loadcse" if bug == "crash-loadcse" else "dce"
         assert expected in stages
+
+    @pytest.mark.parametrize("failing", [name for name, _stage in SCALAR_STAGES])
+    def test_rollback_after_real_mutation_restores_the_stage_input(
+        self, monkeypatch, failing
+    ):
+        # Every stage records its input; the failing one also runs for
+        # real, mutating the program, before it raises.  The next stage
+        # (or, after dce, the final program) must see exactly the failed
+        # stage's input.
+        base = Session(ROLLBACK_SOURCE).run("plain").output
+        inputs: dict[str, str] = {}
+        mutated: list[bool] = []
+
+        def recording(name, original):
+            def stage(program, **kwargs):
+                inputs[name] = format_program(program)
+                stats = original(program, **kwargs)
+                if name == failing:
+                    mutated.append(format_program(program) != inputs[name])
+                    raise RuntimeError(f"injected {name} failure")
+                return stats
+
+            return stage
+
+        for name, _stage in SCALAR_STAGES:
+            monkeypatch.setattr(pipeline, name, recording(name, getattr(pipeline, name)))
+        session = Session(ROLLBACK_SOURCE)
+        report = session.optimize(BUILD_CONFIGS["inline"])
+        output = session.run("inline").output
+
+        names = [name for name, _stage in SCALAR_STAGES]
+        position = names.index(failing)
+        assert mutated == [True], "the failing stage must have changed the program"
+        assert [d["stage"] for d in report.degraded_stages] == [SCALAR_STAGES[position][1]]
+        following = (
+            inputs[names[position + 1]]
+            if position + 1 < len(names)
+            else format_program(report.program)
+        )
+        assert following == inputs[failing]
+        assert output == base
 
     def test_degraded_build_passes_the_oracle(self):
         # Degradation is invisible to the differential oracle: the build

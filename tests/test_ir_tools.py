@@ -1,10 +1,14 @@
-"""IR printer and validator tests."""
+"""IR printer, validator and program-model tests."""
+
+import dataclasses
 
 import pytest
 
+from repro.inlining import optimize
 from repro.ir import (
     ValidationError,
     compile_source,
+    copy_program,
     format_callable,
     format_instr,
     format_program,
@@ -170,3 +174,110 @@ class TestProgramModel:
         assert rectangle_program.lookup_callable("Point::abs") is not None
         assert rectangle_program.lookup_callable("head") is not None
         assert rectangle_program.lookup_callable("Ghost::m") is None
+
+
+class TestCopyProgram:
+    SOURCE = """
+    class P {
+        var x;
+        def init(x) { this.x = x; }
+        def get() { return this.x; }
+    }
+    class B {
+        var inline p;
+        def init(v) { this.p = new P(v); }
+        def total() { return this.p.get() + 1; }
+    }
+    var scale = 3;
+    def helper(n) { return n * scale; }
+    def main() { print(new B(4).total() + helper(2)); }
+    """
+
+    #: Every field of the IR containers, as :func:`copy_program` handles
+    #: it.  A field added to one of these classes must be added here and
+    #: to the copy: a mutable field the copy leaves out would be shared
+    #: between a rollback snapshot and the live program.
+    COPIED_FIELDS = {
+        ir.IRProgram: {"classes", "functions", "global_names"},
+        ir.IRClass: {
+            "name", "superclass", "fields", "methods",
+            "inline_fields", "inlined_state", "source_name",
+        },
+        ir.IRCallable: {
+            "name", "params", "num_regs", "blocks",
+            "is_method", "class_name", "source_name",
+        },
+        ir.Block: {"instrs"},
+    }
+
+    def program(self):
+        """An inlined program, so ``inlined_state`` is populated."""
+        program = optimize(compile_source(self.SOURCE), inline=True).program
+        assert any(cls.inlined_state for cls in program.classes.values())
+        return program
+
+    @staticmethod
+    def containers(program):
+        """The program and every container it holds, in a fixed order."""
+        yield program
+        for cls in program.classes.values():
+            yield cls
+        for callable_ in program.callables():
+            yield callable_
+            yield from callable_.blocks
+
+    def test_mutating_every_container_of_the_copy_leaves_the_original(self):
+        original = self.program()
+        text = format_program(original)
+        regs = {c.name: c.num_regs for c in original.callables()}
+        inline_fields = {n: set(c.inline_fields) for n, c in original.classes.items()}
+        global_names = list(original.global_names)
+
+        copy = copy_program(original)
+        assert format_program(copy) == text
+        del copy.functions[ir.IRProgram.GLOBAL_INIT]
+        main = copy.functions["main"]
+        main.blocks[0].instrs.append(main.blocks[0].instrs[-1])
+        main.num_regs += 5
+        method = next(iter(copy.classes["B"].methods.values()))
+        method.blocks = method.blocks[:1]
+        method.num_regs += 1
+        for cls in copy.classes.values():
+            cls.fields.append("ghost")
+            cls.methods.clear()
+            cls.inline_fields.add("ghost")
+            cls.inlined_state.clear()
+        copy.global_names.append("ghost")
+
+        assert format_program(original) == text
+        assert {c.name: c.num_regs for c in original.callables()} == regs
+        assert {n: c.inline_fields for n, c in original.classes.items()} == inline_fields
+        assert original.global_names == global_names
+
+    def test_containers_are_fresh_and_instructions_shared(self):
+        original = self.program()
+        copy = copy_program(original)
+        pairs = zip(self.containers(original), self.containers(copy), strict=True)
+        for before, after in pairs:
+            assert after is not before and type(after) is type(before)
+            for spec in dataclasses.fields(before):
+                value = getattr(before, spec.name)
+                assert getattr(after, spec.name) == value, spec.name
+                if isinstance(value, (list, dict, set)):
+                    assert getattr(after, spec.name) is not value, spec.name
+        for before, after in zip(original.callables(), copy.callables()):
+            for old, new in zip(before.instructions(), after.instructions(), strict=True):
+                assert new is old
+
+    def test_an_aliased_callable_stays_aliased(self):
+        original = self.program()
+        getter = next(iter(original.classes["P"].methods.values()))
+        original.functions["alias"] = getter
+        copy = copy_program(original)
+        copied = copy.functions["alias"]
+        assert copied is not getter
+        assert copied is next(iter(copy.classes["P"].methods.values()))
+
+    def test_copy_handles_every_container_field(self):
+        for cls, handled in self.COPIED_FIELDS.items():
+            assert {spec.name for spec in dataclasses.fields(cls)} == handled, cls.__name__

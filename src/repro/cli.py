@@ -794,9 +794,13 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             )
             return 1
         kind = result.divergences[0].kind
-        print(f"chasing divergence kind {kind!r}", flush=True)
+        print(f"chasing {result.divergences[0].triage_key}", flush=True)
     before = count_nodes(parse_program(source))
-    reduced = reduce_source(source, kind, max_rounds=args.max_rounds)
+    try:
+        reduced = reduce_source(source, kind, max_rounds=args.max_rounds)
+    except ValueError as error:
+        print(f"error: {args.file}: {error}", file=sys.stderr)
+        return 1
     after = count_nodes(parse_program(reduced))
     print(f"reduced {before} -> {after} AST nodes", file=sys.stderr)
     if args.out:
@@ -1156,7 +1160,8 @@ def main(argv: list[str] | None = None) -> int:
     reduce_parser.add_argument("file", help="mini-ICC++ source that diverges")
     reduce_parser.add_argument(
         "--kind", metavar="KIND",
-        help="divergence kind to preserve (default: auto-detect)",
+        help="chase the first divergence of this kind, keeping its triage "
+        "key (default: the first divergence)",
     )
     reduce_parser.add_argument(
         "--out", metavar="FILE", help="write the reduced program here"

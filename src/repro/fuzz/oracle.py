@@ -28,8 +28,9 @@ against the in-process results, which exercises the whole
 protocol/worker/cache stack with adversarial inputs.
 
 Resource-limit aborts on the *reference* build (a generated program
-that is simply too hot for the step budget) are **explained skips**,
-not divergences: the generator aims for terminating programs, but the
+that is simply too hot for the step or heap budget, or that recurses
+past the VM's call-depth budget) are **explained skips**, not
+divergences: the generator aims for terminating programs, but the
 oracle does not trust it — the budget is the backstop.
 """
 
@@ -132,6 +133,7 @@ def check_program(
 
     try:
         session = Session(source, path=f"<fuzz:{seed}>")
+        session.compile()  # sessions are lazy: parse and lower here
     except Exception as exc:  # parse/lower errors on generated code
         diverge("frontend", "-", f"{type(exc).__name__}: {exc}")
         return result

@@ -329,24 +329,31 @@ def reduce_source(
     max_steps: int | None = None,
     max_rounds: int = 40,
 ) -> str:
-    """Shrink ``source`` while the oracle still reports ``predicate_kind``.
+    """Shrink ``source`` while the oracle still reports the same bug.
 
     Returns the unparsed reduced program.  ``predicate_kind`` is a
-    divergence ``kind`` (``output-mismatch``, ``optimize-error``, ...);
-    the reduced program is the smallest found that still produces at
-    least one divergence of that kind.
+    divergence ``kind`` (``output-mismatch``, ``optimize-error``, ...)
+    that picks which of the input's divergences to chase: the first one
+    of that kind.  A candidate is kept only if the oracle reports that
+    divergence's full triage key, so the reduced program shows the same
+    bug, not merely some bug of the same kind.
     """
     from .oracle import DEFAULT_MAX_STEPS, FUZZ_BUILDS, check_program
 
     builds = tuple(builds) if builds is not None else FUZZ_BUILDS
     max_steps = DEFAULT_MAX_STEPS if max_steps is None else max_steps
 
+    def triage_keys(text: str) -> list[str]:
+        result = check_program(text, seed=seed, builds=builds, max_steps=max_steps)
+        return [d.triage_key for d in result.divergences if d.kind == predicate_kind]
+
+    found = triage_keys(source)
+    if not found:
+        raise ValueError(f"input program has no {predicate_kind!r} divergence")
+    chased = found[0]
+
     def predicate(candidate: ast.Program) -> bool:
-        text = unparse_program(candidate)
-        result = check_program(
-            text, seed=seed, builds=builds, max_steps=max_steps
-        )
-        return any(d.kind == predicate_kind for d in result.divergences)
+        return chased in triage_keys(unparse_program(candidate))
 
     program = parse_program(source, filename=f"<reduce:{seed}>")
     reduced = reduce_program(program, predicate, max_rounds=max_rounds)

@@ -5,6 +5,8 @@ from .cache import CacheConfig, CacheSimulator, CacheStats, LabelStats, Locality
 from .costmodel import CostModel, ExecutionStats
 from .heap import ARRAY_HEADER, Heap, HeapError, HeapStats, OBJECT_HEADER, SLOT_SIZE
 from .interp import (
+    MAX_CALL_DEPTH,
+    CallDepthExceeded,
     HeapLimitExceeded,
     Interpreter,
     ReproRuntimeError,
@@ -24,6 +26,7 @@ __all__ = [
     "CacheSimulator",
     "CacheStats",
     "CallableProfile",
+    "CallDepthExceeded",
     "profile_program",
     "ProfileReport",
     "ProfilingInterpreter",
@@ -39,6 +42,7 @@ __all__ = [
     "is_truthy",
     "LabelStats",
     "LocalityStats",
+    "MAX_CALL_DEPTH",
     "OBJECT_HEADER",
     "ObjectRef",
     "ReproRuntimeError",

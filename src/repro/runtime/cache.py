@@ -212,8 +212,12 @@ class CacheSimulator:
 
     def __init__(self, config: CacheConfig | None = None) -> None:
         self.config = config or CacheConfig()
+        # The geometry, hoisted out of the per-access path.
+        self._line_bytes = self.config.line_bytes
+        self._num_sets = self.config.num_sets
+        self._associativity = self.config.associativity
         # Each set is an ordered list of tags; index 0 is most recent.
-        self._sets: list[list[int]] = [[] for _ in range(self.config.num_sets)]
+        self._sets: list[list[int]] = [[] for _ in range(self._num_sets)]
         self.stats = CacheStats()
         #: Attribution recorder; ``None`` (the default) keeps the hot path
         #: at a single attribute load + None check, same spirit as
@@ -226,12 +230,6 @@ class CacheSimulator:
             self.locality = LocalityStats(self.config, bucket_lines)
         return self.locality
 
-    def _locate(self, address: int) -> tuple[list[int], int]:
-        line = address // self.config.line_bytes
-        set_index = line % self.config.num_sets
-        tag = line // self.config.num_sets
-        return self._sets[set_index], tag
-
     def access(
         self, address: int, is_write: bool = False, label: AccessLabel | None = None
     ) -> bool:
@@ -240,22 +238,29 @@ class CacheSimulator:
         ``label`` is only consulted when attribution is enabled; it never
         influences hit/miss behaviour or the aggregate counters.
         """
-        ways, tag = self._locate(address)
+        line = address // self._line_bytes
+        ways = self._sets[line % self._num_sets]
+        tag = line // self._num_sets
+        stats = self.stats
         if is_write:
-            self.stats.writes += 1
+            stats.writes += 1
         else:
-            self.stats.reads += 1
-        hit = tag in ways
-        if hit:
+            stats.reads += 1
+        if ways and ways[0] == tag:
+            # A hit on the most recently used line leaves the order as is.
+            hit = True
+        elif tag in ways:
+            hit = True
             ways.remove(tag)
             ways.insert(0, tag)
         else:
+            hit = False
             if is_write:
-                self.stats.write_misses += 1
+                stats.write_misses += 1
             else:
-                self.stats.read_misses += 1
+                stats.read_misses += 1
             ways.insert(0, tag)
-            if len(ways) > self.config.associativity:
+            if len(ways) > self._associativity:
                 ways.pop()
         locality = self.locality
         if locality is not None:
@@ -272,7 +277,7 @@ class CacheSimulator:
         """Touch every line in [address, address+size); returns miss count."""
         if size <= 0:
             return 0
-        line = self.config.line_bytes
+        line = self._line_bytes
         start = address // line * line
         misses = 0
         for line_addr in range(start, address + size, line):
@@ -290,7 +295,7 @@ class CacheSimulator:
         interpreter and therefore a fresh, cold cache.  To zero the
         counters use :meth:`reset_stats`.
         """
-        self._sets = [[] for _ in range(self.config.num_sets)]
+        self._sets = [[] for _ in range(self._num_sets)]
 
     def reset_stats(self) -> None:
         """Zero the counters (aggregate and attribution) in place.

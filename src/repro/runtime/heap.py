@@ -94,8 +94,11 @@ class Heap:
         #: Addresses allocated by each open frame; the outermost list is a
         #: root region for frame allocations made outside any bracket.
         self._frame_allocs: list[list[int]] = [[]]
-        self._objects: dict[int, _ObjectRecord] = {}
-        self._arrays: dict[int, _ArrayRecord] = {}
+        #: Address -> record.  The interpreter's decoded accessors read
+        #: these directly on their fast paths and fall back to the
+        #: methods below for every error case.
+        self.objects: dict[int, _ObjectRecord] = {}
+        self.arrays: dict[int, _ArrayRecord] = {}
         self.stats = HeapStats()
 
     # ------------------------------------------------------------------
@@ -109,7 +112,7 @@ class Heap:
     def pop_frame(self, marker: int) -> None:
         """Reclaim every frame allocation made since the matching push."""
         for address in self._frame_allocs.pop():
-            self._objects.pop(address, None)
+            self.objects.pop(address, None)
         self._next_frame_address = marker
 
     @property
@@ -157,7 +160,7 @@ class Heap:
             address = self._bump_frame(size)
         else:
             address = self._bump(size, on_stack)
-        self._objects[address] = _ObjectRecord(
+        self.objects[address] = _ObjectRecord(
             class_name=class_name,
             layout=layout,
             slots=[None] * len(layout),
@@ -183,7 +186,7 @@ class Heap:
         slots_per_elem = len(inline_fields) if inline_layout else 1
         size = ARRAY_HEADER + length * slots_per_elem * SLOT_SIZE
         address = self._bump(size)
-        self._arrays[address] = _ArrayRecord(
+        self.arrays[address] = _ArrayRecord(
             length=length,
             inline_layout=inline_layout,
             inline_fields=inline_fields,
@@ -201,7 +204,7 @@ class Heap:
     # interpreter can feed the address to the cache simulator.
 
     def _object(self, ref: ObjectRef) -> _ObjectRecord:
-        record = self._objects.get(ref.address)
+        record = self.objects.get(ref.address)
         if record is None:
             raise HeapError(f"dangling object reference {ref!r}")
         return record
@@ -259,11 +262,11 @@ class Heap:
         without attribution enabled.
         """
         if isinstance(ref, ObjectRef):
-            record = self._objects.get(ref.address)
+            record = self.objects.get(ref.address)
         elif isinstance(ref, ArrayRef):
-            record = self._arrays.get(ref.address)
+            record = self.arrays.get(ref.address)
         elif isinstance(ref, ViewRef):
-            record = self._arrays.get(ref.array.address)
+            record = self.arrays.get(ref.array.address)
         else:
             return None
         return record.alloc_site if record is not None else None
@@ -271,7 +274,7 @@ class Heap:
     def elem_class_of(self, ref: Value) -> str | None:
         """The declared element class of an array, if one was recorded."""
         if isinstance(ref, ArrayRef):
-            record = self._arrays.get(ref.address)
+            record = self.arrays.get(ref.address)
             return record.elem_class if record is not None else None
         return None
 
@@ -279,7 +282,7 @@ class Heap:
     # Array access.
 
     def _array(self, ref: ArrayRef) -> _ArrayRecord:
-        record = self._arrays.get(ref.address)
+        record = self.arrays.get(ref.address)
         if record is None:
             raise HeapError(f"dangling array reference {ref!r}")
         return record

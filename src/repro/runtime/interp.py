@@ -1,4 +1,4 @@
-"""The VM: a direct interpreter for the CFG IR.
+"""The VM: a predecoded interpreter for the CFG IR.
 
 The interpreter doubles as the paper's performance substrate.  Every heap
 access goes through the simulated :class:`~repro.runtime.heap.Heap` and the
@@ -10,10 +10,36 @@ Both the uniform-model program and the object-inlined program run on this
 same VM, so the relative performance between them is attributable entirely
 to the transformation (fewer dereferences, fewer allocations, static
 dispatch, better locality).
+
+How a run executes:
+
+- **Decoding, per run.**  The first time control reaches a block, its
+  instructions are decoded into a tuple of closures, and the run loop
+  only calls them.  Decoding binds register indices, constants, field,
+  method and builtin names, and whether locality attribution is on.
+  Call sites cache the methods and functions they resolve; field
+  accesses cache slot positions per class, and ``new`` class layouts.  Each closure's fast path covers the well-typed
+  common case and falls back to the general ``_get_field``/``_binop``/...
+  methods for everything else, so every error is the one those methods
+  raise.  Decoded code binds this run's heap, cache and counters: it
+  lives on the :class:`Interpreter` and is dropped when the run ends.
+- **Step counting, per segment.**  Each block is cut into call-free
+  segments: the instructions up to and including the next call, ``new``
+  or terminator.  A segment's steps are charged in one addition before it
+  runs, so whenever a call starts ``stats.instructions`` reads as if
+  counted one instruction at a time.  A segment that would cross
+  ``max_steps`` is stepped one instruction at a time instead, so
+  :class:`StepLimitExceeded` stops at the same instruction and location.
+  A run that stops on any other error has counted its whole last segment.
+- **Depth budget.**  A run nests at most :data:`MAX_CALL_DEPTH` VM calls;
+  one more raises :class:`CallDepthExceeded`.  :meth:`Interpreter.run`
+  raises Python's recursion limit far enough that a runaway recursion
+  hits this budget, never ``RecursionError``.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -23,8 +49,47 @@ from ..obs.tracer import NULL_TRACER
 from .builtins import BuiltinError, call_builtin
 from .cache import CacheConfig, CacheSimulator
 from .costmodel import CostModel, ExecutionStats
-from .heap import Heap, HeapError
+from .heap import ARRAY_HEADER, OBJECT_HEADER, SLOT_SIZE, Heap, HeapError
 from .values import ArrayRef, ObjectRef, Value, ViewRef, format_value, is_truthy
+
+#: The deepest chain of nested VM calls a run may build.
+MAX_CALL_DEPTH = 50_000
+
+#: The most Python frames one VM call occupies: the call site's closure,
+#: ``_new_object`` for a constructor, ``_call`` (twice under the
+#: profiler, whose override calls it) and ``_run_frame``.
+_PY_FRAMES_PER_CALL = 5
+
+#: Exact value types the arithmetic fast paths accept (``bool`` is not a
+#: number in mini-ICC++, and ``type(True) is bool``).
+_NUMBERS = frozenset((int, float))
+
+#: Binary operators whose result on two numbers is Python's own.
+_NUMERIC_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
+
+
+def _reader(indices: tuple[int, ...]):
+    """A function returning the registers at ``indices`` as a fresh list
+    (the argument list a call site passes on)."""
+    if not indices:
+        return lambda regs: []
+    if len(indices) == 1:
+        return lambda regs, only=indices[0]: [regs[only]]
+    return lambda regs, read=operator.itemgetter(*indices): list(read(regs))
+
+
+#: How a decoded block ends.
+_BRANCH, _JUMP, _RETURN, _FALL_OFF = range(4)
 
 
 class ReproRuntimeError(Exception):
@@ -40,7 +105,8 @@ class ReproRuntimeError(Exception):
 
 
 class ResourceLimitError(ReproRuntimeError):
-    """A run exceeded one of its resource budgets (steps, heap cells).
+    """A run exceeded one of its resource budgets (steps, heap cells,
+    call depth).
 
     The fuzzer and the compile service both need hang-proof execution:
     catching this (rather than the broad :class:`ReproRuntimeError`)
@@ -57,6 +123,10 @@ class HeapLimitExceeded(ResourceLimitError):
     """Raised when heap allocation exceeds the configured cell budget."""
 
 
+class CallDepthExceeded(ResourceLimitError):
+    """Raised when nested calls would exceed :data:`MAX_CALL_DEPTH`."""
+
+
 @dataclass(slots=True)
 class RunResult:
     """Everything observable about one program run."""
@@ -71,9 +141,18 @@ class RunResult:
         return self.stats.cycles(model)
 
 
-@dataclass(slots=True)
-class _Frame:
-    regs: list[Value]
+class _Unit:
+    """One callable as the run loop sees it: its arity, the padding that
+    turns an argument list into a register file, and its blocks, each
+    decoded the first time control reaches it."""
+
+    __slots__ = ("callable_", "formals", "padding", "blocks")
+
+    def __init__(self, callable_: ir.IRCallable) -> None:
+        self.callable_ = callable_
+        self.formals = callable_.num_formals
+        self.padding = (None,) * max(0, callable_.num_regs - self.formals)
+        self.blocks: list[tuple | None] = [None] * len(callable_.blocks)
 
 
 class Interpreter:
@@ -92,10 +171,12 @@ class Interpreter:
         self.program = program
         self.heap = Heap()
         self.cache = CacheSimulator(cache_config)
-        # Attribution is observation-only and off by default: when
-        # ``_locality`` is None every accessor takes the exact pre-existing
-        # call path, and the simulated counters are bit-identical either
-        # way (differentially tested in tests/test_locality.py).
+        # Attribution is observation-only and off by default.  Decoding
+        # reads ``_locality``: with it off, accessors take fast paths that
+        # never build labels; with it on, they call the general methods,
+        # which label every access.  The simulated counters are
+        # bit-identical either way (differentially tested in
+        # tests/test_locality.py).
         self._locality = (
             self.cache.enable_attribution(locality_bucket_lines)
             if attribute_locality
@@ -107,6 +188,12 @@ class Interpreter:
         self._max_steps = max_steps
         self._max_heap_cells = max_heap_cells
         self._depth = 0
+        #: id(callable) -> its decoded unit (this run's code).
+        self._units: dict[int, _Unit] = {}
+        #: field name -> its slot caches (see _field_slots).
+        self._fields: dict[str, tuple] = {}
+        #: class name -> (field layout, resolved ``init`` or None).
+        self._classes: dict[str, tuple[tuple[str, ...], ir.IRCallable | None]] = {}
         # One program scan up front: frame push/pop bracketing in _call is
         # only armed when the escape stage actually produced frame-local
         # allocations, so untransformed programs pay nothing.
@@ -125,7 +212,7 @@ class Interpreter:
     def run(self, entry: str = ir.IRProgram.ENTRY_FUNCTION) -> RunResult:
         """Run @global_init then ``entry`` (default ``main``)."""
         old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 100_000))
+        sys.setrecursionlimit(old_limit + MAX_CALL_DEPTH * _PY_FRAMES_PER_CALL)
         try:
             init = self.program.functions.get(ir.IRProgram.GLOBAL_INIT)
             if init is not None:
@@ -138,6 +225,10 @@ class Interpreter:
             result = self._call(entry_fn, [])
         finally:
             sys.setrecursionlimit(old_limit)
+            # Decoded closures refer back to this interpreter; dropping
+            # them breaks the cycle, so the run's state is freed now
+            # rather than at the next cyclic collection.
+            self._units.clear()
         if self.tracer.enabled:
             # Surface the VM's counters as trace data at run end.
             summary = self.stats.summary()
@@ -162,175 +253,578 @@ class Interpreter:
         fn = self.program.functions.get(name)
         if fn is None:
             raise ReproRuntimeError(f"unknown function {name!r}")
-        return self._call(fn, args)
+        return self._call(fn, list(args))
 
     # ------------------------------------------------------------------
     # Core execution.
 
     def _call(self, callable_: ir.IRCallable, args: list[Value]) -> Value:
-        expected = callable_.num_formals
-        if len(args) != expected:
+        """Run one activation.  ``args`` must be a fresh list: it is
+        padded in place into the callee's register file."""
+        unit = self._units.get(id(callable_))
+        if unit is None:
+            unit = self._units[id(callable_)] = _Unit(callable_)
+        if len(args) != unit.formals:
             raise ReproRuntimeError(
-                f"{callable_.name} expects {expected} values, got {len(args)}"
+                f"{callable_.name} expects {unit.formals} values, got {len(args)}"
             )
-        self._depth += 1
-        if self._depth > self.stats.max_call_depth:
-            self.stats.max_call_depth = self._depth
-        frame = _Frame(regs=[None] * callable_.num_regs)
-        frame.regs[: len(args)] = args
+        depth = self._depth + 1
+        if depth > MAX_CALL_DEPTH:
+            raise CallDepthExceeded(
+                f"{callable_.name}: more than {MAX_CALL_DEPTH} nested calls"
+            )
+        self._depth = depth
+        if depth > self.stats.max_call_depth:
+            self.stats.max_call_depth = depth
+        args += unit.padding
         if not self._frame_regions:
             try:
-                return self._run_frame(callable_, frame)
+                return self._run_frame(unit, args)
             finally:
-                self._depth -= 1
+                self._depth = depth - 1
         marker = self.heap.push_frame()
         try:
-            return self._run_frame(callable_, frame)
+            return self._run_frame(unit, args)
         finally:
             self.heap.pop_frame(marker)
-            self._depth -= 1
+            self._depth = depth - 1
 
-    def _run_frame(self, callable_: ir.IRCallable, frame: _Frame) -> Value:
-        blocks = callable_.blocks
-        regs = frame.regs
+    def _run_frame(self, unit: _Unit, regs: list[Value]) -> Value:
+        blocks = unit.blocks
         stats = self.stats
-        block_index = 0
+        max_steps = self._max_steps
+        index = 0
         while True:
-            block = blocks[block_index]
-            for instr in block.instrs:
-                stats.instructions += 1
-                if stats.instructions > self._max_steps:
-                    raise StepLimitExceeded(
-                        f"exceeded {self._max_steps} instructions", instr.loc
-                    )
-                kind = type(instr)
-
-                if kind is ir.Const:
-                    regs[instr.dest] = instr.value
-                elif kind is ir.Move:
-                    regs[instr.dest] = regs[instr.src]
-                elif kind is ir.BinOp:
-                    regs[instr.dest] = self._binop(
-                        instr.op, regs[instr.lhs], regs[instr.rhs], instr.loc
-                    )
-                elif kind is ir.UnOp:
-                    regs[instr.dest] = self._unop(instr.op, regs[instr.src], instr.loc)
-                elif kind is ir.GetField:
-                    regs[instr.dest] = self._get_field(
-                        regs[instr.obj], instr.field_name, instr.loc
-                    )
-                elif kind is ir.SetField:
-                    self._set_field(
-                        regs[instr.obj], instr.field_name, regs[instr.src], instr.loc
-                    )
-                elif kind is ir.GetFieldIndexed:
-                    regs[instr.dest] = self._get_field_indexed(
-                        regs[instr.obj],
-                        instr.base_field,
-                        instr.length,
-                        regs[instr.index],
-                        instr.loc,
-                    )
-                elif kind is ir.SetFieldIndexed:
-                    self._set_field_indexed(
-                        regs[instr.obj],
-                        instr.base_field,
-                        instr.length,
-                        regs[instr.index],
-                        regs[instr.src],
-                        instr.loc,
-                    )
-                elif kind is ir.GetIndex:
-                    regs[instr.dest] = self._get_index(
-                        regs[instr.array], regs[instr.index], instr.loc
-                    )
-                elif kind is ir.SetIndex:
-                    self._set_index(
-                        regs[instr.array], regs[instr.index], regs[instr.src], instr.loc
-                    )
-                elif kind is ir.ArrayLen:
-                    array = regs[instr.array]
-                    if not isinstance(array, ArrayRef):
-                        raise ReproRuntimeError(
-                            f"len() of non-array {format_value(array)}", instr.loc
-                        )
-                    regs[instr.dest] = array.length
-                elif kind is ir.New:
-                    regs[instr.dest] = self._new_object(
-                        instr.class_name,
-                        [regs[a] for a in instr.args],
-                        instr.loc,
-                        instr.on_stack,
-                        instr.skip_init,
-                        instr.frame_local,
-                    )
-                elif kind is ir.NewArray:
-                    regs[instr.dest] = self._new_array(
-                        regs[instr.size],
-                        instr.inline_layout,
-                        instr.parallel_layout,
-                        instr.loc,
-                        instr.elem_class,
-                    )
-                elif kind is ir.MakeView:
-                    regs[instr.dest] = self._make_view(
-                        regs[instr.array], regs[instr.index], instr.class_name, instr.loc
-                    )
-                elif kind is ir.CallMethod:
-                    regs[instr.dest] = self._send(
-                        regs[instr.recv],
-                        instr.method_name,
-                        [regs[a] for a in instr.args],
-                        instr.loc,
-                    )
-                elif kind is ir.CallStatic:
-                    regs[instr.dest] = self._call_static(
-                        regs[instr.recv],
-                        instr.class_name,
-                        instr.method_name,
-                        [regs[a] for a in instr.args],
-                        instr.loc,
-                    )
-                elif kind is ir.CallFunction:
-                    fn = self.program.functions.get(instr.func_name)
-                    if fn is None:
-                        raise ReproRuntimeError(
-                            f"unknown function {instr.func_name!r}", instr.loc
-                        )
-                    stats.static_calls += 1
-                    regs[instr.dest] = self._call(fn, [regs[a] for a in instr.args])
-                elif kind is ir.CallBuiltin:
-                    stats.builtin_calls += 1
-                    try:
-                        regs[instr.dest] = call_builtin(
-                            instr.builtin_name,
-                            [regs[a] for a in instr.args],
-                            self.output,
-                        )
-                    except BuiltinError as exc:
-                        raise ReproRuntimeError(str(exc), instr.loc) from exc
-                elif kind is ir.GetGlobal:
-                    regs[instr.dest] = self.globals[instr.name]
-                elif kind is ir.SetGlobal:
-                    self.globals[instr.name] = regs[instr.src]
-                elif kind is ir.Jump:
-                    block_index = instr.target
-                    break
-                elif kind is ir.Branch:
-                    block_index = (
-                        instr.then_target
-                        if is_truthy(regs[instr.cond])
-                        else instr.else_target
-                    )
-                    break
-                elif kind is ir.Return:
-                    return None if instr.src is None else regs[instr.src]
+            block = blocks[index]
+            if block is None:
+                block = blocks[index] = self._decode_block(unit.callable_.blocks[index])
+            segments, end, a, b, c = block
+            for count, ops, instrs in segments:
+                steps = stats.instructions + count
+                if steps > max_steps:
+                    self._step_singly(instrs, ops, regs)
+                stats.instructions = steps
+                for op in ops:
+                    op(regs)
+            if end is _BRANCH:
+                cond = regs[a]
+                if cond is True:
+                    index = b
+                elif cond is False:
+                    index = c
                 else:
-                    raise ReproRuntimeError(
-                        f"unhandled instruction {kind.__name__}", instr.loc
-                    )
+                    index = b if is_truthy(cond) else c
+            elif end is _JUMP:
+                index = a
+            elif end is _RETURN:
+                return None if a is None else regs[a]
             else:
-                raise ReproRuntimeError(f"{callable_.name}: fell off block B{block_index}")
+                raise ReproRuntimeError(f"{unit.callable_.name}: fell off block B{index}")
+
+    def _step_singly(self, instrs: tuple, ops: tuple, regs: list[Value]) -> None:
+        """Run a segment that crosses the step budget one instruction at a
+        time.  Always raises: :class:`StepLimitExceeded` at the first
+        instruction past the budget, unless an earlier one fails."""
+        stats = self.stats
+        for position, instr in enumerate(instrs):
+            stats.instructions += 1
+            if stats.instructions > self._max_steps:
+                raise StepLimitExceeded(
+                    f"exceeded {self._max_steps} instructions", instr.loc
+                )
+            ops[position](regs)
+
+    # ------------------------------------------------------------------
+    # Decoding: one closure per instruction, called as ``op(regs)``.
+    #
+    # Each closure takes what it binds as default arguments rather than
+    # as captured variables: such a function is about half as costly to
+    # create (no cells), and a short run spends about a third of its time
+    # decoding.  Nothing ever passes an op more than ``regs``.
+
+    def _decode_block(self, block: ir.Block) -> tuple:
+        """``(segments, end, a, b, c)``: the call-free segments as
+        ``(steps, ops, instrs)`` and how the block ends (branch register
+        and targets, jump target, or returned register)."""
+        segments = []
+        ops: list = []
+        instrs: list = []
+        end, a, b, c = _FALL_OFF, None, None, None
+        for instr in block.instrs:
+            instrs.append(instr)
+            kind = type(instr)
+            if kind is ir.Branch:
+                end, a, b, c = _BRANCH, instr.cond, instr.then_target, instr.else_target
+                break
+            if kind is ir.Jump:
+                end, a = _JUMP, instr.target
+                break
+            if kind is ir.Return:
+                end, a = _RETURN, instr.src
+                break
+            decoder = _DECODERS.get(kind, Interpreter._decode_unhandled)
+            ops.append(decoder(self, instr))
+            if kind in _SEGMENT_ENDS:
+                segments.append((len(instrs), tuple(ops), tuple(instrs)))
+                ops, instrs = [], []
+        if instrs:
+            segments.append((len(instrs), tuple(ops), tuple(instrs)))
+        return tuple(segments), end, a, b, c
+
+    def _decode_unhandled(self, instr: ir.Instr):
+        def op(regs, message=f"unhandled instruction {type(instr).__name__}", loc=instr.loc):
+            raise ReproRuntimeError(message, loc)
+
+        return op
+
+    def _decode_const(self, instr: ir.Const):
+        def op(regs, dest=instr.dest, value=instr.value):
+            regs[dest] = value
+
+        return op
+
+    def _decode_move(self, instr: ir.Move):
+        def op(regs, dest=instr.dest, src=instr.src):
+            regs[dest] = regs[src]
+
+        return op
+
+    def _decode_binop(self, instr: ir.BinOp):
+        name = instr.op
+        if name in ("/", "%"):
+            # C's truncating division and remainder agree with Python's
+            # floor forms when both operands are non-negative.
+            def op(
+                regs, dest=instr.dest, lhs_reg=instr.lhs, rhs_reg=instr.rhs,
+                name=name, loc=instr.loc, binop=self._binop,
+                floor=operator.floordiv if name == "/" else operator.mod,
+            ):
+                lhs = regs[lhs_reg]
+                rhs = regs[rhs_reg]
+                if type(lhs) is int and type(rhs) is int and lhs >= 0 and rhs > 0:
+                    regs[dest] = floor(lhs, rhs)
+                else:
+                    regs[dest] = binop(name, lhs, rhs, loc)
+
+            return op
+        fast = _NUMERIC_OPS.get(name)
+
+        # ``==`` and ``!=`` against nil also stay on the fast path.  An
+        # operator with no fast form (none in valid IR) gets no number
+        # types, so it always reaches ``_binop`` and its error.
+        def op(
+            regs, dest=instr.dest, lhs_reg=instr.lhs, rhs_reg=instr.rhs,
+            name=name, loc=instr.loc, binop=self._binop, fast=fast,
+            numbers=_NUMBERS if fast else frozenset(),
+            equality=name in ("==", "!="), equal=name == "==",
+        ):
+            lhs = regs[lhs_reg]
+            rhs = regs[rhs_reg]
+            if type(lhs) in numbers and type(rhs) in numbers:
+                regs[dest] = fast(lhs, rhs)
+            elif equality and (lhs is None or rhs is None):
+                regs[dest] = (lhs is rhs) == equal
+            else:
+                regs[dest] = binop(name, lhs, rhs, loc)
+
+        return op
+
+    def _decode_unop(self, instr: ir.UnOp):
+        if instr.op == "!":
+
+            def op(regs, dest=instr.dest, src=instr.src):
+                value = regs[src]
+                if value is True:
+                    regs[dest] = False
+                elif value is False:
+                    regs[dest] = True
+                else:
+                    regs[dest] = not is_truthy(value)
+
+            return op
+
+        def op(
+            regs, dest=instr.dest, src=instr.src, name=instr.op, loc=instr.loc,
+            unop=self._unop, numbers=_NUMBERS,
+        ):
+            value = regs[src]
+            if type(value) in numbers and name == "-":
+                regs[dest] = -value
+            else:
+                regs[dest] = unop(name, value, loc)
+
+        return op
+
+    def _decode_get_field(self, instr: ir.GetField):
+        if self._locality is not None:
+
+            def op(
+                regs, dest=instr.dest, obj_reg=instr.obj, name=instr.field_name,
+                loc=instr.loc, get_field=self._get_field,
+            ):
+                regs[dest] = get_field(regs[obj_reg], name, loc)
+
+            return op
+        object_slots, inline_slots, learn = self._field_slots(instr.field_name)
+
+        def op(
+            regs, dest=instr.dest, obj_reg=instr.obj, name=instr.field_name,
+            loc=instr.loc, get_field=self._get_field, object_slots=object_slots,
+            inline_slots=inline_slots, learn=learn, objects_get=self.heap.objects.get,
+            arrays_get=self.heap.arrays.get, stats=self.stats, access=self.cache.access,
+        ):
+            obj = regs[obj_reg]
+            kind = type(obj)
+            if kind is ObjectRef:
+                record = objects_get(obj.address)
+                slot = object_slots.get(obj.class_name)
+                if record is not None and slot is not None:
+                    stats.heap_reads += 1
+                    regs[dest] = record.slots[slot]
+                    access(obj.address + OBJECT_HEADER + slot * SLOT_SIZE, False)
+                    return
+            elif kind is ViewRef:
+                array = obj.array
+                record = arrays_get(array.address)
+                known = inline_slots.get(array.inline_layout)
+                if record is not None and known is not None:
+                    position, width = known
+                    if record.parallel:
+                        slot = position * record.length + obj.index
+                    else:
+                        slot = obj.index * width + position
+                    stats.heap_reads += 1
+                    regs[dest] = record.slots[slot]
+                    access(array.address + ARRAY_HEADER + slot * SLOT_SIZE, False)
+                    return
+            regs[dest] = get_field(obj, name, loc)
+            learn(obj)
+
+        return op
+
+    def _decode_set_field(self, instr: ir.SetField):
+        if self._locality is not None:
+
+            def op(
+                regs, obj_reg=instr.obj, name=instr.field_name, src=instr.src,
+                loc=instr.loc, set_field=self._set_field,
+            ):
+                set_field(regs[obj_reg], name, regs[src], loc)
+
+            return op
+        object_slots, inline_slots, learn = self._field_slots(instr.field_name)
+
+        def op(
+            regs, obj_reg=instr.obj, name=instr.field_name, src=instr.src,
+            loc=instr.loc, set_field=self._set_field, object_slots=object_slots,
+            inline_slots=inline_slots, learn=learn, objects_get=self.heap.objects.get,
+            arrays_get=self.heap.arrays.get, stats=self.stats, access=self.cache.access,
+        ):
+            obj = regs[obj_reg]
+            kind = type(obj)
+            if kind is ObjectRef:
+                record = objects_get(obj.address)
+                slot = object_slots.get(obj.class_name)
+                if record is not None and slot is not None:
+                    stats.heap_writes += 1
+                    record.slots[slot] = regs[src]
+                    access(obj.address + OBJECT_HEADER + slot * SLOT_SIZE, True)
+                    return
+            elif kind is ViewRef:
+                array = obj.array
+                record = arrays_get(array.address)
+                known = inline_slots.get(array.inline_layout)
+                if record is not None and known is not None:
+                    position, width = known
+                    if record.parallel:
+                        slot = position * record.length + obj.index
+                    else:
+                        slot = obj.index * width + position
+                    stats.heap_writes += 1
+                    record.slots[slot] = regs[src]
+                    access(array.address + ARRAY_HEADER + slot * SLOT_SIZE, True)
+                    return
+            set_field(obj, name, regs[src], loc)
+            learn(obj)
+
+        return op
+
+    def _field_slots(self, name: str):
+        """This run's caches for field ``name``: class -> slot for objects,
+        inline element class -> ``(position, width)`` for views, and the
+        function that fills them from an object the general accessor has
+        just read or written without error.
+
+        Every object of one class shares that class's layout, and every
+        inline array of one element class its field list, so the caches
+        are keyed by class and shared by every site of the field.  A
+        view's index needs no check: ``MakeView`` range-checked it, and
+        arrays never shrink.
+        """
+        caches = self._fields.get(name)
+        if caches is not None:
+            return caches
+        objects, arrays = self.heap.objects, self.heap.arrays
+        object_slots: dict[str, int] = {}
+        inline_slots: dict[str, tuple[int, int]] = {}
+
+        def learn(obj):
+            if type(obj) is ObjectRef:
+                object_slots[obj.class_name] = objects[obj.address].layout.index(name)
+            else:
+                fields = arrays[obj.array.address].inline_fields
+                inline_slots[obj.array.inline_layout] = (fields.index(name), len(fields))
+
+        caches = self._fields[name] = (object_slots, inline_slots, learn)
+        return caches
+
+    def _decode_get_field_indexed(self, instr: ir.GetFieldIndexed):
+        def op(
+            regs, dest=instr.dest, obj_reg=instr.obj, base=instr.base_field,
+            length=instr.length, index_reg=instr.index, loc=instr.loc,
+            get=self._get_field_indexed,
+        ):
+            regs[dest] = get(regs[obj_reg], base, length, regs[index_reg], loc)
+
+        return op
+
+    def _decode_set_field_indexed(self, instr: ir.SetFieldIndexed):
+        def op(
+            regs, obj_reg=instr.obj, base=instr.base_field, length=instr.length,
+            index_reg=instr.index, src=instr.src, loc=instr.loc,
+            put=self._set_field_indexed,
+        ):
+            put(regs[obj_reg], base, length, regs[index_reg], regs[src], loc)
+
+        return op
+
+    def _decode_get_index(self, instr: ir.GetIndex):
+        if self._locality is not None:
+
+            def op(
+                regs, dest=instr.dest, array_reg=instr.array, index_reg=instr.index,
+                loc=instr.loc, get_index=self._get_index,
+            ):
+                regs[dest] = get_index(regs[array_reg], regs[index_reg], loc)
+
+            return op
+
+        def op(
+            regs, dest=instr.dest, array_reg=instr.array, index_reg=instr.index,
+            loc=instr.loc, get_index=self._get_index, arrays_get=self.heap.arrays.get,
+            stats=self.stats, access=self.cache.access,
+        ):
+            array = regs[array_reg]
+            index = regs[index_reg]
+            if type(array) is ArrayRef and type(index) is int and array.inline_layout is None:
+                record = arrays_get(array.address)
+                if record is not None and 0 <= index < record.length:
+                    stats.heap_reads += 1
+                    regs[dest] = record.slots[index]
+                    access(array.address + ARRAY_HEADER + index * SLOT_SIZE, False)
+                    return
+            regs[dest] = get_index(array, index, loc)
+
+        return op
+
+    def _decode_set_index(self, instr: ir.SetIndex):
+        if self._locality is not None:
+
+            def op(
+                regs, array_reg=instr.array, index_reg=instr.index, src=instr.src,
+                loc=instr.loc, set_index=self._set_index,
+            ):
+                set_index(regs[array_reg], regs[index_reg], regs[src], loc)
+
+            return op
+
+        def op(
+            regs, array_reg=instr.array, index_reg=instr.index, src=instr.src,
+            loc=instr.loc, set_index=self._set_index, arrays_get=self.heap.arrays.get,
+            stats=self.stats, access=self.cache.access,
+        ):
+            array = regs[array_reg]
+            index = regs[index_reg]
+            if type(array) is ArrayRef and type(index) is int and array.inline_layout is None:
+                record = arrays_get(array.address)
+                if record is not None and 0 <= index < record.length:
+                    stats.heap_writes += 1
+                    record.slots[index] = regs[src]
+                    access(array.address + ARRAY_HEADER + index * SLOT_SIZE, True)
+                    return
+            set_index(array, index, regs[src], loc)
+
+        return op
+
+    def _decode_array_len(self, instr: ir.ArrayLen):
+        def op(regs, dest=instr.dest, array_reg=instr.array, loc=instr.loc):
+            array = regs[array_reg]
+            if type(array) is not ArrayRef:
+                raise ReproRuntimeError(f"len() of non-array {format_value(array)}", loc)
+            regs[dest] = array.length
+
+        return op
+
+    def _decode_new(self, instr: ir.New):
+        def op(
+            regs, dest=instr.dest, class_name=instr.class_name,
+            read_args=_reader(instr.args), loc=instr.loc, on_stack=instr.on_stack,
+            skip_init=instr.skip_init, frame_local=instr.frame_local,
+            new_object=self._new_object,
+        ):
+            regs[dest] = new_object(
+                class_name, read_args(regs), loc, on_stack, skip_init, frame_local
+            )
+
+        return op
+
+    def _decode_new_array(self, instr: ir.NewArray):
+        def op(
+            regs, dest=instr.dest, size_reg=instr.size, layout=instr.inline_layout,
+            parallel=instr.parallel_layout, loc=instr.loc, elem_class=instr.elem_class,
+            new_array=self._new_array,
+        ):
+            regs[dest] = new_array(regs[size_reg], layout, parallel, loc, elem_class)
+
+        return op
+
+    def _decode_make_view(self, instr: ir.MakeView):
+        def op(
+            regs, dest=instr.dest, array_reg=instr.array, index_reg=instr.index,
+            class_name=instr.class_name, loc=instr.loc, make_view=self._make_view,
+        ):
+            array = regs[array_reg]
+            index = regs[index_reg]
+            if (
+                type(array) is ArrayRef
+                and array.inline_layout is not None
+                and type(index) is int
+                and 0 <= index < array.length
+            ):
+                regs[dest] = ViewRef(array, index, class_name)
+            else:
+                regs[dest] = make_view(array, index, class_name, loc)
+
+        return op
+
+    def _decode_call_method(self, instr: ir.CallMethod):
+        #: This site's receiver classes -> their methods.
+        methods: dict[str, ir.IRCallable] = {}
+
+        def op(
+            regs, dest=instr.dest, recv_reg=instr.recv, name=instr.method_name,
+            read_args=_reader((instr.recv, *instr.args)), loc=instr.loc,
+            methods=methods, resolve=self.program.resolve_method, send=self._send,
+            call=self._call, stats=self.stats,
+        ):
+            recv = regs[recv_reg]
+            kind = type(recv)
+            if kind is ObjectRef or kind is ViewRef:
+                method = methods.get(recv.class_name)
+                if method is None:
+                    resolved = resolve(recv.class_name, name)
+                    if resolved is not None:
+                        method = methods[recv.class_name] = resolved[1]
+                if method is not None:
+                    stats.dynamic_dispatches += 1
+                    regs[dest] = call(method, read_args(regs))
+                    return
+            regs[dest] = send(recv, name, read_args(regs)[1:], loc)
+
+        return op
+
+    def _decode_call_static(self, instr: ir.CallStatic):
+        read_args = _reader((instr.recv, *instr.args))
+        try:
+            resolved = self.program.resolve_method(instr.class_name, instr.method_name)
+        except KeyError:  # an unknown class: the call raises when it runs
+            resolved = None
+        if resolved is None:
+
+            def op(
+                regs, dest=instr.dest, class_name=instr.class_name,
+                name=instr.method_name, read_args=read_args, loc=instr.loc,
+                call_static=self._call_static,
+            ):
+                args = read_args(regs)
+                regs[dest] = call_static(args[0], class_name, name, args[1:], loc)
+
+            return op
+
+        def op(
+            regs, dest=instr.dest, method=resolved[1], read_args=read_args,
+            call=self._call, stats=self.stats,
+        ):
+            stats.static_calls += 1
+            regs[dest] = call(method, read_args(regs))
+
+        return op
+
+    def _decode_call_function(self, instr: ir.CallFunction):
+        fn = self.program.functions.get(instr.func_name)
+        if fn is None:
+
+            def op(
+                regs, message=f"unknown function {instr.func_name!r}", loc=instr.loc
+            ):
+                raise ReproRuntimeError(message, loc)
+
+            return op
+
+        def op(
+            regs, dest=instr.dest, fn=fn, read_args=_reader(instr.args),
+            call=self._call, stats=self.stats,
+        ):
+            stats.static_calls += 1
+            regs[dest] = call(fn, read_args(regs))
+
+        return op
+
+    def _decode_call_builtin(self, instr: ir.CallBuiltin):
+        def generic(
+            regs, name=instr.builtin_name, read_args=_reader(instr.args),
+            output=self.output, loc=instr.loc,
+        ):
+            try:
+                return call_builtin(name, read_args(regs), output)
+            except BuiltinError as exc:
+                raise ReproRuntimeError(str(exc), loc) from exc
+
+        if instr.builtin_name in ("min", "max") and len(instr.args) == 2:
+            # Python's two-argument min and max, inlined: the first
+            # argument unless the second is strictly smaller (larger).
+            def op(
+                regs, dest=instr.dest, first=instr.args[0], second=instr.args[1],
+                beats=operator.lt if instr.builtin_name == "min" else operator.gt,
+                generic=generic, numbers=_NUMBERS, stats=self.stats,
+            ):
+                stats.builtin_calls += 1
+                lhs = regs[first]
+                rhs = regs[second]
+                if type(lhs) in numbers and type(rhs) in numbers:
+                    regs[dest] = rhs if beats(rhs, lhs) else lhs
+                else:
+                    regs[dest] = generic(regs)
+
+            return op
+
+        def op(regs, dest=instr.dest, generic=generic, stats=self.stats):
+            stats.builtin_calls += 1
+            regs[dest] = generic(regs)
+
+        return op
+
+    def _decode_get_global(self, instr: ir.GetGlobal):
+        def op(regs, dest=instr.dest, name=instr.name, globals_=self.globals):
+            regs[dest] = globals_[name]
+
+        return op
+
+    def _decode_set_global(self, instr: ir.SetGlobal):
+        def op(regs, name=instr.name, src=instr.src, globals_=self.globals):
+            globals_[name] = regs[src]
+
+        return op
 
     # ------------------------------------------------------------------
     # Heap operations.
@@ -351,6 +845,22 @@ class Interpreter:
             return "<synthetic>"
         return f"{loc.filename}:{loc.line}"
 
+    def _class(
+        self, class_name: str, loc: SourceLocation
+    ) -> tuple[tuple[str, ...], ir.IRCallable | None]:
+        """``class_name``'s field layout and ``init``, resolved once per run."""
+        known = self._classes.get(class_name)
+        if known is None:
+            if class_name not in self.program.classes:
+                raise ReproRuntimeError(f"unknown class {class_name!r}", loc)
+            layout = tuple(self.program.layout(class_name))
+            resolved = self.program.resolve_method(class_name, "init")
+            known = self._classes[class_name] = (
+                layout,
+                None if resolved is None else resolved[1],
+            )
+        return known
+
     def _new_object(
         self,
         class_name: str,
@@ -360,10 +870,7 @@ class Interpreter:
         skip_init: bool = False,
         frame_local: bool = False,
     ) -> Value:
-        cls = self.program.classes.get(class_name)
-        if cls is None:
-            raise ReproRuntimeError(f"unknown class {class_name!r}", loc)
-        layout = tuple(self.program.layout(class_name))
+        layout, init = self._class(class_name, loc)
         site = self._site(loc) if self._locality is not None else None
         ref = self.heap.alloc_object(
             class_name, layout, on_stack, alloc_site=site, frame_local=frame_local
@@ -404,14 +911,12 @@ class Interpreter:
 
         if skip_init:
             return ref
-        resolved = self.program.resolve_method(class_name, "init")
-        if resolved is None:
+        if init is None:
             if args:
                 raise ReproRuntimeError(
                     f"class {class_name!r} has no init but got constructor args", loc
                 )
             return ref
-        _, init = resolved
         self.stats.static_calls += 1  # constructor calls are statically bound
         self._call(init, [ref, *args])
         return ref
@@ -773,3 +1278,30 @@ def run_program(
     )
     with tracer.span("run"):
         return interpreter.run()
+
+
+_DECODERS = {
+    ir.Const: Interpreter._decode_const,
+    ir.Move: Interpreter._decode_move,
+    ir.BinOp: Interpreter._decode_binop,
+    ir.UnOp: Interpreter._decode_unop,
+    ir.GetField: Interpreter._decode_get_field,
+    ir.SetField: Interpreter._decode_set_field,
+    ir.GetFieldIndexed: Interpreter._decode_get_field_indexed,
+    ir.SetFieldIndexed: Interpreter._decode_set_field_indexed,
+    ir.GetIndex: Interpreter._decode_get_index,
+    ir.SetIndex: Interpreter._decode_set_index,
+    ir.ArrayLen: Interpreter._decode_array_len,
+    ir.New: Interpreter._decode_new,
+    ir.NewArray: Interpreter._decode_new_array,
+    ir.MakeView: Interpreter._decode_make_view,
+    ir.CallMethod: Interpreter._decode_call_method,
+    ir.CallStatic: Interpreter._decode_call_static,
+    ir.CallFunction: Interpreter._decode_call_function,
+    ir.CallBuiltin: Interpreter._decode_call_builtin,
+    ir.GetGlobal: Interpreter._decode_get_global,
+    ir.SetGlobal: Interpreter._decode_set_global,
+}
+
+#: Instructions that may start a VM call: each ends a step segment.
+_SEGMENT_ENDS = frozenset((ir.New, ir.CallMethod, ir.CallStatic, ir.CallFunction))

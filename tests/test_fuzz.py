@@ -268,6 +268,50 @@ class TestSeededBugs:
                 pass
 
 
+#: Reading past the end of an array.  Collapsing any of its expressions
+#: to ``0`` or dropping a declaration trips a different runtime error
+#: (indexing a non-array, an undeclared variable), so a reducer that
+#: matched only the divergence kind would wander off this bug.
+OUT_OF_RANGE_SOURCE = """
+def main() {
+    var a = array(3);
+    var i = 5;
+    print(a[i]);
+}
+"""
+
+
+class TestTriage:
+    def test_frontend_error_is_a_frontend_divergence(self):
+        result = check_program("def main() { print(facc); }")
+        assert [d.kind for d in result.divergences] == ["frontend"]
+        assert "undeclared variable 'facc'" in result.divergences[0].detail
+
+    def test_reducer_keeps_the_triage_key(self):
+        (key,) = [d.triage_key for d in check_program(OUT_OF_RANGE_SOURCE).divergences]
+        assert key.startswith("runtime-error:plain:") and "out of range" in key
+        reduced = reduce_source(OUT_OF_RANGE_SOURCE, "runtime-error")
+        assert key in [d.triage_key for d in check_program(reduced).divergences]
+
+    def test_reduce_cli_keeps_the_triage_key(self, tmp_path, capsys):
+        from repro.cli import main
+
+        source = tmp_path / "bug.icc"
+        source.write_text(OUT_OF_RANGE_SOURCE)
+        reduced = tmp_path / "reduced.icc"
+        assert main(["reduce", str(source), "--kind", "runtime-error", "--out", str(reduced)]) == 0
+        (key,) = [d.triage_key for d in check_program(OUT_OF_RANGE_SOURCE).divergences]
+        assert key in [d.triage_key for d in check_program(reduced.read_text()).divergences]
+
+    def test_reduce_cli_rejects_a_kind_the_input_lacks(self, tmp_path, capsys):
+        from repro.cli import main
+
+        source = tmp_path / "bug.icc"
+        source.write_text(OUT_OF_RANGE_SOURCE)
+        assert main(["reduce", str(source), "--kind", "output-mismatch"]) == 1
+        assert "no 'output-mismatch' divergence" in capsys.readouterr().err
+
+
 class TestCountNodes:
     def test_counts_are_positive_and_monotone(self):
         small = parse_program("def main() { print(1); }")

@@ -285,6 +285,74 @@ class TestVMLimits:
         assert stats.heap_writes >= 1
         assert stats.cycles() > stats.instructions
 
+    #: Recursion ``n`` levels below ``main``: at depth ``n + 2`` in all.
+    RECURSION = {
+        "function": (
+            "def down(n) { if (n == 0) { return 0; } return down(n - 1) + 1; }\n"
+            "def main() { print(down(%d)); }"
+        ),
+        "method": (
+            "class Node { def down(n) { if (n == 0) { return 0; } "
+            "return this.down(n - 1) + 1; } }\n"
+            "def main() { var node = new Node(); print(node.down(%d)); }"
+        ),
+        "constructor": (
+            "class Chain { var next; def init(n) { "
+            "if (n > 0) { this.next = new Chain(n - 1); } } }\n"
+            "def main() { var chain = new Chain(%d); print(1); }"
+        ),
+    }
+
+    @staticmethod
+    def deep(run):
+        """``run()``, failing briefly (a 250k-frame traceback takes
+        pytest minutes to render) if Python's recursion limit fires
+        before the VM's depth budget."""
+        try:
+            return run()
+        except RecursionError:
+            pass
+        pytest.fail("RecursionError before the VM's depth budget", pytrace=False)
+
+    @pytest.mark.parametrize("shape", sorted(RECURSION))
+    def test_recursion_to_the_depth_budget_completes(self, shape):
+        from repro.runtime import MAX_CALL_DEPTH
+
+        assert MAX_CALL_DEPTH == 50_000
+        source = self.RECURSION[shape] % (MAX_CALL_DEPTH - 2)
+        result = self.deep(lambda: run_source(source))
+        assert result.stats.max_call_depth == MAX_CALL_DEPTH
+
+    @pytest.mark.parametrize("shape", sorted(RECURSION))
+    def test_one_call_past_the_depth_budget_raises(self, shape):
+        from repro.runtime import MAX_CALL_DEPTH, CallDepthExceeded, ResourceLimitError
+
+        assert issubclass(CallDepthExceeded, ResourceLimitError)
+        source = self.RECURSION[shape] % (MAX_CALL_DEPTH - 1)
+        with pytest.raises(CallDepthExceeded, match="more than 50000 nested calls"):
+            self.deep(lambda: run_source(source))
+
+    def test_depth_budget_holds_under_the_profiler(self):
+        # The profiler's _call override adds a Python frame per VM call;
+        # the recursion limit run() sets must still leave the budget to
+        # fire first.
+        from repro.runtime import MAX_CALL_DEPTH, CallDepthExceeded, profile_program
+
+        source = self.RECURSION["constructor"]
+        report = self.deep(
+            lambda: profile_program(compile_source(source % (MAX_CALL_DEPTH - 2)))
+        )
+        assert report.result.stats.max_call_depth == MAX_CALL_DEPTH
+        with pytest.raises(CallDepthExceeded):
+            self.deep(lambda: profile_program(compile_source(source % (MAX_CALL_DEPTH - 1))))
+
+    def test_depth_overflow_on_the_plain_build_is_an_oracle_skip(self):
+        from repro.fuzz import check_program
+
+        result = check_program(self.RECURSION["function"] % 60_000)
+        assert not result.divergences
+        assert result.skipped.startswith("CallDepthExceeded:")
+
     def test_call_depth_tracked(self):
         result = run_source(
             "def rec(n) { if (n == 0) return 0; return rec(n - 1); }\n"

@@ -113,7 +113,7 @@ class Lexer:
             return Token(TokenKind.EOF, "", loc)
 
         ch = self._peek()
-        if ch.isdigit():
+        if ch.isdecimal():
             return self._lex_number(loc)
         if ch.isalpha() or ch == "_":
             return self._lex_name(loc)
@@ -123,23 +123,23 @@ class Lexer:
 
     def _lex_number(self, loc: SourceLocation) -> Token:
         start = self._pos
-        while self._peek().isdigit():
+        while self._peek().isdecimal():
             self._advance()
         is_float = False
-        if self._peek() == "." and self._peek(1).isdigit():
+        if self._peek() == "." and self._peek(1).isdecimal():
             is_float = True
             self._advance()
-            while self._peek().isdigit():
+            while self._peek().isdecimal():
                 self._advance()
         if self._peek() in ("e", "E") and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
+            self._peek(1).isdecimal()
+            or (self._peek(1) in "+-" and self._peek(2).isdecimal())
         ):
             is_float = True
             self._advance()
             if self._peek() in "+-":
                 self._advance()
-            while self._peek().isdigit():
+            while self._peek().isdecimal():
                 self._advance()
         text = self._source[start : self._pos]
         if is_float:

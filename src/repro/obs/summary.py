@@ -41,6 +41,9 @@ class TraceSummary:
     #: traced run, including the float ratios (``cache_miss_rate``) that
     #: the integer counter table cannot carry.
     run_stats: list[dict] = field(default_factory=list)
+    #: One entry per ``run.tier`` event: what each run compiled to the
+    #: VM's hot tier, and how many instructions each tier executed.
+    tiers: list[dict] = field(default_factory=list)
     #: ``run.locality`` / ``run.heatmap`` payloads (locality attribution).
     localities: list[dict] = field(default_factory=list)
     heatmaps: list[dict] = field(default_factory=list)
@@ -72,6 +75,7 @@ class TraceSummary:
         self.decisions.extend(other.decisions)
         self.round_decisions.extend(other.round_decisions)
         self.run_stats.extend(other.run_stats)
+        self.tiers.extend(other.tiers)
         self.localities.extend(other.localities)
         self.heatmaps.extend(other.heatmaps)
         self.events += other.events
@@ -128,6 +132,8 @@ def summarize_events(events: list[dict], malformed: int = 0) -> TraceSummary:
                 summary.round_decisions.append(record.get("data", {}))
             elif record.get("name") == "run.stats":
                 summary.run_stats.append(record.get("data", {}))
+            elif record.get("name") == "run.tier":
+                summary.tiers.append(record.get("data", {}))
             elif record.get("name") == "run.locality":
                 summary.localities.append(record.get("data", {}))
             elif record.get("name") == "run.heatmap":
@@ -197,6 +203,19 @@ def _render_run_stats(run_stats: list[dict]) -> list[str]:
             row += f" {_format_stat(stats.get(column, '-')):>15s}"
         lines.append(row)
     return lines
+
+
+def _render_tiers(tiers: list[dict]) -> str:
+    """One line: the VM's hot tier, summed over the traced runs."""
+    compiled = sum(int(tier.get("compiled", 0)) for tier in tiers)
+    hot = sum(int(tier.get("hot_instructions", 0)) for tier in tiers)
+    total = hot + sum(int(tier.get("cold_instructions", 0)) for tier in tiers)
+    seconds = sum(float(tier.get("compile_s", 0.0)) for tier in tiers)
+    share = hot / total if total else 0.0
+    return (
+        f"vm tiers: {compiled} callable(s) compiled in {seconds * 1e3:.1f} ms; "
+        f"{hot} of {total} instructions hot ({share:.1%}) over {len(tiers)} run(s)"
+    )
 
 
 def _render_locality_brief(summary: TraceSummary, top_labels: int = 8) -> list[str]:
@@ -272,6 +291,8 @@ def render_summary(summary: TraceSummary, top_counters: int = 20) -> str:
     if summary.run_stats:
         lines.append("")
         lines.extend(_render_run_stats(summary.run_stats))
+    if summary.tiers:
+        lines.append(_render_tiers(summary.tiers))
 
     if summary.localities:
         lines.append("")

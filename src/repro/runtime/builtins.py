@@ -24,7 +24,29 @@ def _require_number(name: str, value: Value) -> int | float:
 
 
 def call_builtin(name: str, args: list[Value], output: list[str]) -> Value:
-    """Execute builtin ``name``; print output goes to ``output``."""
+    """Execute builtin ``name``; print output goes to ``output``.
+
+    Every failure is a :class:`BuiltinError`, never a raw Python
+    arithmetic error: infinities and NaN have no integer value, and
+    ``pow`` must give a real number.
+    """
+    try:
+        result = _call(name, args, output)
+    except (ArithmeticError, ValueError) as exc:  # Overflow, ZeroDivision, ...
+        raise BuiltinError(f"{name}() {_REASONS.get(type(exc), exc)}") from exc
+    if type(result) is complex:
+        raise BuiltinError(f"{name}() result is not a real number")
+    return result
+
+
+#: How a Python arithmetic failure reads in a builtin's error message.
+_REASONS = {
+    OverflowError: "result out of range",
+    ZeroDivisionError: "division by zero",
+}
+
+
+def _call(name: str, args: list[Value], output: list[str]) -> Value:
     if name == "print":
         output.append(" ".join(format_value(arg) for arg in args))
         return None

@@ -15,6 +15,7 @@ heap address so the cache simulator sees realistic memory traffic:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,20 +46,41 @@ class ArrayRef:
         return f"<array[{self.length}]{kind}@{self.address:#x}>"
 
 
-@dataclass(frozen=True, slots=True)
-class ViewRef:
+class ViewRef(tuple):
     """Fat pointer to one element of an inline array.
 
     Field reads/writes through a view address the parallel arrays directly:
     no object header, no extra indirection.
+
+    A ``MakeView`` builds one per executed instruction, so it is a tuple
+    ``(array, index, class_name)`` built by ``tuple.__new__``: less than
+    half a frozen dataclass's cost.  It stays immutable and hashable, and
+    it equals only a view of the same array, index and class (never a
+    plain tuple).  The VM's hot tier reads the fields by position.
     """
 
-    array: ArrayRef
-    index: int
-    class_name: str
+    __slots__ = ()
+
+    def __new__(cls, array: ArrayRef, index: int, class_name: str) -> "ViewRef":
+        return tuple.__new__(cls, (array, index, class_name))
+
+    array = property(itemgetter(0), doc="The inline array.")
+    index = property(itemgetter(1), doc="The element's index.")
+    class_name = property(itemgetter(2), doc="The element class the view exposes.")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ViewRef and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
     def __repr__(self) -> str:
-        return f"<view {self.class_name} {self.array!r}[{self.index}]>"
+        return f"<view {self[2]} {self[0]!r}[{self[1]}]>"
 
 
 Value = object  # int | float | bool | str | None | ObjectRef | ArrayRef | ViewRef

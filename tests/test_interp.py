@@ -314,19 +314,36 @@ class TestVMLimits:
             pass
         pytest.fail("RecursionError before the VM's depth budget", pytrace=False)
 
-    @pytest.mark.parametrize("shape", sorted(RECURSION))
-    def test_recursion_to_the_depth_budget_completes(self, shape):
+    #: Each shape at the default hot-tier threshold (the recursion
+    #: compiles part way down), and with every callable compiled on first
+    #: entry (``hot-``): a VM call from generated code must stay within
+    #: the frames the recursion limit allows.
+    SHAPES = [pytest.param(shape, False, id=shape) for shape in sorted(RECURSION)] + [
+        pytest.param(shape, True, id=f"hot-{shape}") for shape in sorted(RECURSION)
+    ]
+
+    @staticmethod
+    def tier(hot, monkeypatch):
+        if hot:
+            from repro.runtime import interp
+
+            monkeypatch.setattr(interp, "HOT_PER_INSTR", 0)
+
+    @pytest.mark.parametrize("shape, hot", SHAPES)
+    def test_recursion_to_the_depth_budget_completes(self, shape, hot, monkeypatch):
         from repro.runtime import MAX_CALL_DEPTH
 
+        self.tier(hot, monkeypatch)
         assert MAX_CALL_DEPTH == 50_000
         source = self.RECURSION[shape] % (MAX_CALL_DEPTH - 2)
         result = self.deep(lambda: run_source(source))
         assert result.stats.max_call_depth == MAX_CALL_DEPTH
 
-    @pytest.mark.parametrize("shape", sorted(RECURSION))
-    def test_one_call_past_the_depth_budget_raises(self, shape):
+    @pytest.mark.parametrize("shape, hot", SHAPES)
+    def test_one_call_past_the_depth_budget_raises(self, shape, hot, monkeypatch):
         from repro.runtime import MAX_CALL_DEPTH, CallDepthExceeded, ResourceLimitError
 
+        self.tier(hot, monkeypatch)
         assert issubclass(CallDepthExceeded, ResourceLimitError)
         source = self.RECURSION[shape] % (MAX_CALL_DEPTH - 1)
         with pytest.raises(CallDepthExceeded, match="more than 50000 nested calls"):
@@ -339,6 +356,19 @@ class TestVMLimits:
         from repro.runtime import MAX_CALL_DEPTH, CallDepthExceeded, profile_program
 
         source = self.RECURSION["constructor"]
+        report = self.deep(
+            lambda: profile_program(compile_source(source % (MAX_CALL_DEPTH - 2)))
+        )
+        assert report.result.stats.max_call_depth == MAX_CALL_DEPTH
+        with pytest.raises(CallDepthExceeded):
+            self.deep(lambda: profile_program(compile_source(source % (MAX_CALL_DEPTH - 1))))
+
+    @pytest.mark.parametrize("shape", sorted(RECURSION))
+    def test_depth_budget_holds_under_the_profiler_when_hot(self, shape, monkeypatch):
+        from repro.runtime import MAX_CALL_DEPTH, CallDepthExceeded, profile_program
+
+        self.tier(True, monkeypatch)
+        source = self.RECURSION[shape]
         report = self.deep(
             lambda: profile_program(compile_source(source % (MAX_CALL_DEPTH - 2)))
         )
@@ -359,3 +389,189 @@ class TestVMLimits:
             "def main() { rec(50); }"
         )
         assert result.stats.max_call_depth >= 50
+
+
+class TestBuiltinErrors:
+    """Builtins fail with a language error at the call, never with a raw
+    Python arithmetic error or a complex number."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            ("floor(1e308 * 10.0)", "floor() result out of range"),
+            ("ceil(0.0 - 1e308 * 10.0)", "ceil() result out of range"),
+            ("int(1e308 * 10.0 - 1e308 * 10.0)", "int() cannot convert float NaN to integer"),
+            ("pow(0, -1)", "pow() division by zero"),
+            ("pow(10.0, 400)", "pow() result out of range"),
+            ("float(pow(10, 400))", "float() result out of range"),
+            ("pow(-8, 0.5)", "pow() result is not a real number"),
+        ],
+    )
+    def test_raises_a_language_error_at_the_call(self, call, message):
+        with pytest.raises(ReproRuntimeError) as info:
+            run_source("def main() {\n  print(%s);\n}" % call)
+        assert type(info.value) is ReproRuntimeError
+        assert info.value.raw_message == message
+        assert (info.value.location.line, info.value.location.column) == (2, 9)
+
+    def test_in_range_results_are_unchanged(self):
+        assert output_of("def main() { print(pow(10, 20), pow(-8, 2.0), int(-2.5)); }") == [
+            "100000000000000000000 64 -2"
+        ]
+
+
+class TestTiers:
+    """The hot tier computes exactly what the cold tier computes."""
+
+    #: One long loop in a ``main`` entered once: only a switch to the hot
+    #: tier mid-activation can run any of it hot.
+    LOOP = (
+        "class Acc { var total; var last; def init() { this.total = 0; } }\n"
+        "def main() {\n"
+        "  var acc = new Acc(); var cells = array(8); var i = 0;\n"
+        "  while (i < 400) {\n"
+        "    acc.total = acc.total + i % 7 - i / 5;\n"
+        "    cells[i % 8] = min(i, 300) + max(0.5, acc.total);\n"
+        "    if (i % 3 == 0 && cells[i % 8] != nil) { acc.last = -i; }\n"
+        "    i = i + 1;\n"
+        "  }\n"
+        "  print(acc.total, acc.last, cells[3], len(cells), !acc.last);\n"
+        "}"
+    )
+
+    #: Names that are Python keywords, builtins or the generated code's
+    #: own identifiers, and strings that would break a Python literal.
+    HOSTILE = (
+        'var lambda; var regs;\n'
+        'class import {\n'
+        '  var None; var self; var __class__;\n'
+        '  def init(regs) { this.None = regs; this.self = "a\\"b\\\\c\\nd\'"; this.__class__ = 0; }\n'
+        '  def lambda(regs) { this.__class__ = this.__class__ + regs; return this.None + regs; }\n'
+        '}\n'
+        'def self(regs) { return regs + 1; }\n'
+        'def __class__(x) { return x.self + "\\\\"; }\n'
+        'def main() {\n'
+        '  lambda = new import(3); regs = 0; var i = 0;\n'
+        '  while (i < 50) { regs = regs + lambda.lambda(self(i)); i = i + 1; }\n'
+        '  print(regs, lambda.__class__, lambda.None, __class__(lambda));\n'
+        '}'
+    )
+
+    @staticmethod
+    def run(source, hot_per_instr, monkeypatch, **options):
+        from repro.obs import MemorySink, Tracer
+        from repro.runtime import interp, run_program
+
+        monkeypatch.setattr(interp, "HOT_PER_INSTR", hot_per_instr)
+        tracer = Tracer(MemorySink())
+        result = run_program(compile_source(source), tracer=tracer, **options)
+        return result, tracer.counters
+
+    def outcome(self, source, hot_per_instr, monkeypatch, **options):
+        try:
+            result, _ = self.run(source, hot_per_instr, monkeypatch, **options)
+        except StepLimitExceeded as exc:
+            return str(exc)
+        return result.output, result.stats.summary()
+
+    def test_a_loop_switches_tiers_mid_activation(self, monkeypatch):
+        cold, counters = self.run(self.LOOP, float("inf"), monkeypatch)
+        assert counters["run.tier.compiled"] == 0
+        assert counters["run.tier.hot_instructions"] == 0
+        # At twice its size in back-edges, main compiles mid-loop; the
+        # callables entered once (@global_init, Acc::init) stay cold.
+        hot, counters = self.run(self.LOOP, 2, monkeypatch)
+        assert counters["run.tier.compiled"] == 1
+        assert 0 < counters["run.tier.hot_instructions"] < hot.stats.instructions
+        assert hot.output == cold.output == ["-14603 -399 300.5 8 false"]
+        assert hot.stats.summary() == cold.stats.summary()
+        full = cold.stats.instructions
+        for budget in (full, full - 1, full // 2, 7):
+            expected = self.outcome(self.LOOP, float("inf"), monkeypatch, max_steps=budget)
+            assert self.outcome(self.LOOP, 2, monkeypatch, max_steps=budget) == expected, budget
+            assert (budget == full) == (type(expected) is tuple)
+
+    def test_generated_sources_leave_linecache(self, monkeypatch):
+        import linecache
+        import traceback
+
+        from repro.runtime import interp
+
+        prefix = f"<{interp.__file__}>:"
+
+        def generated():
+            return [name for name in linecache.cache if name.startswith(prefix)]
+
+        full = self.run(self.LOOP, 2, monkeypatch)[0].stats.instructions
+        assert generated() == []
+        with pytest.raises(StepLimitExceeded) as failure:
+            self.run(self.LOOP, 2, monkeypatch, max_steps=full - 1)
+        # The failed run's traceback shows its generated lines ...
+        assert generated() == [prefix + "main"]
+        frames = [
+            frame for frame in traceback.extract_tb(failure.value.__traceback__)
+            if frame.filename.startswith(prefix)
+        ]
+        assert frames and all(frame.line for frame in frames)
+        # ... until the next run, even one that compiles nothing.
+        self.run(self.LOOP, float("inf"), monkeypatch)
+        assert generated() == []
+
+    def test_hostile_names_run_identically_in_both_tiers(self, monkeypatch):
+        cold = self.outcome(self.HOSTILE, float("inf"), monkeypatch)
+        hot, counters = self.run(self.HOSTILE, 0, monkeypatch)
+        assert counters["run.tier.compiled"] == 6  # every callable
+        assert (hot.output, hot.stats.summary()) == cold
+        assert cold[0] == ['1425 1275 3 a"b\\c\nd\'\\']
+
+    #: An embedded array the inlining build turns into indexed field
+    #: accesses (``GetFieldIndexed``/``SetFieldIndexed``), plus unary ops.
+    EMBEDDED = (
+        "class C { var tag; var d;\n"
+        "  def init(tag) {\n"
+        "    this.tag = tag; var a = array(4);\n"
+        "    for (var i = 0; i < 4; i = i + 1) { a[i] = -i * i; }\n"
+        "    this.d = a;\n"
+        "  }\n"
+        "  def sum() {\n"
+        "    var a = this.d; var t = 0;\n"
+        "    for (var i = 0; i < len(a); i = i + 1) { t = t + a[i]; }\n"
+        "    return t;\n"
+        "  }\n"
+        "  def poke(i, v) { var a = this.d; a[i] = v; }\n"
+        "}\n"
+        "def main() {\n"
+        "  var c = new C(9); c.poke(0, 100);\n"
+        "  print(c.sum(), -c.tag, !c.tag, !nil);\n"
+        "}"
+    )
+
+    def test_every_instruction_type_has_a_template(self, monkeypatch):
+        from repro.ir import model as ir
+        from repro.runtime import interp
+        from repro.session import Session
+
+        kinds = {
+            kind for kind in vars(ir).values()
+            if isinstance(kind, type) and issubclass(kind, ir.Instr) and kind is not ir.Instr
+        }
+        assert set(interp._TEMPLATES) == kinds - {ir.Branch, ir.Jump, ir.Return}
+        session = Session(self.EMBEDDED)
+        program = session.program_for("inline")
+        used = {type(instr) for fn in program.callables() for instr in fn.instructions()}
+        assert {ir.GetFieldIndexed, ir.SetFieldIndexed, ir.UnOp} <= used
+
+        def outcome(hot_per_instr, **options):
+            monkeypatch.setattr(interp, "HOT_PER_INSTR", hot_per_instr)
+            try:
+                run = session.run("inline", **options)
+            except StepLimitExceeded as exc:
+                return str(exc)
+            return run.output, run.stats.summary()
+
+        cold = outcome(float("inf"))
+        assert cold[0] == ["86 -9 false true"]
+        assert outcome(0) == cold
+        full = cold[1]["instructions"]
+        for budget in (full - 1, full // 2):
+            assert outcome(0, max_steps=budget) == outcome(float("inf"), max_steps=budget)

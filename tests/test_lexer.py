@@ -73,6 +73,19 @@ class TestNumbers:
         assert toks[0].value == 12
         assert toks[1].value == "abc"
 
+    def test_non_decimal_digit_is_a_lex_error(self):
+        # ``str.isdigit`` accepts superscripts, which ``int`` rejects.
+        with pytest.raises(LexError, match="unexpected character '²'") as info:
+            tokenize("def main() { print(²); }")
+        location = info.value.location
+        assert (location.line, location.column) == (1, 20)
+
+    def test_decimal_digits_of_other_scripts_lex_as_numbers(self):
+        assert tokenize("١٢")[0].value == 12
+        token = tokenize("١.٥")[0]
+        assert token.kind is TokenKind.FLOAT
+        assert token.value == 1.5
+
 
 class TestStrings:
     def test_simple_string(self):

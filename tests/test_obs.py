@@ -288,6 +288,26 @@ class TestTraceSummaryRender:
         assert "runtime stats (2 runs):" in text
         assert "100" in text and "200" in text
 
+    def test_tier_events_render_one_line(self):
+        events = [
+            {
+                "ev": "event",
+                "name": "run.tier",
+                "data": {
+                    "compiled": compiled, "hot_instructions": hot,
+                    "cold_instructions": cold, "compile_s": 0.004,
+                },
+            }
+            for compiled, hot, cold in ((3, 900, 100), (0, 0, 1000))
+        ]
+        summary = summarize_events(events)
+        assert len(summary.tiers) == 2
+        lines = [line for line in render_summary(summary).splitlines() if "vm tiers" in line]
+        assert lines == [
+            "vm tiers: 3 callable(s) compiled in 8.0 ms; "
+            "900 of 2000 instructions hot (45.0%) over 2 run(s)"
+        ]
+
     def test_locality_events_render_brief_digest(self):
         events = [
             {

@@ -1,5 +1,7 @@
 """Runtime value representation and cost-model unit tests."""
 
+import pytest
+
 from repro.runtime.costmodel import CostModel, ExecutionStats
 from repro.runtime.values import (
     ArrayRef,
@@ -63,6 +65,57 @@ class TestReferenceIdentity:
         array = ArrayRef(0x20, 4, "P")
         assert ViewRef(array, 1, "P") == ViewRef(array, 1, "P")
         assert ViewRef(array, 1, "P") != ViewRef(array, 2, "P")
+
+
+class TestViewRef:
+    """A view is a tuple underneath (cheap to build); its contract is
+    still that of an immutable value with three named fields."""
+
+    ARRAY = ArrayRef(0x20, 4, "P")
+
+    def test_fields(self):
+        view = ViewRef(self.ARRAY, 2, "P@elem3")
+        assert (view.array, view.index, view.class_name) == (self.ARRAY, 2, "P@elem3")
+
+    def test_immutable(self):
+        view = ViewRef(self.ARRAY, 2, "P")
+        for name in ("array", "index", "class_name", "other"):
+            with pytest.raises(AttributeError):
+                setattr(view, name, 0)
+
+    def test_equal_only_to_the_same_view(self):
+        view = ViewRef(self.ARRAY, 2, "P")
+        assert view == ViewRef(self.ARRAY, 2, "P")
+        assert not view != ViewRef(self.ARRAY, 2, "P")
+        for other in (
+            ViewRef(ArrayRef(0x28, 4, "P"), 2, "P"),
+            ViewRef(self.ARRAY, 3, "P"),
+            ViewRef(self.ARRAY, 2, "Q"),
+            (self.ARRAY, 2, "P"),
+            [self.ARRAY, 2, "P"],
+        ):
+            assert view != other
+            assert not view == other
+
+    def test_hashable(self):
+        views = {ViewRef(self.ARRAY, 2, "P"), ViewRef(self.ARRAY, 2, "P")}
+        assert len(views) == 1
+        assert ViewRef(self.ARRAY, 2, "P") in views
+        assert ViewRef(self.ARRAY, 1, "P") not in views
+
+    def test_repr_and_format(self):
+        view = ViewRef(self.ARRAY, 2, "P")
+        assert repr(view) == "<view P <array[4] inline[P]@0x20>[2]>"
+        assert format_value(view) == "<object>"
+
+    def test_pickles_and_copies(self):
+        import copy
+        import pickle
+
+        view = ViewRef(self.ARRAY, 2, "P")
+        for clone in (pickle.loads(pickle.dumps(view)), copy.deepcopy(view)):
+            assert type(clone) is ViewRef
+            assert clone == view
 
 
 class TestCostModel:

@@ -18,6 +18,11 @@ The runs:
   ``full // 2``, ``full // 3 + 1`` and 7;
 - oopack's ``inline`` build with locality attribution on.
 
+The generated programs run twice: once with the VM's default hot-tier
+threshold (most of their code stays on the cold tier), and once with
+every callable compiled to the hot tier on first entry.  The
+Figure-17 programs run hot at the default threshold.
+
 Regenerate the data only for a change meant to alter what the VM
 computes (the cost model or the language's semantics)::
 
@@ -35,6 +40,7 @@ import pytest
 from repro.bench import PERFORMANCE_PROGRAMS
 from repro.bench.harness import PERFORMANCE_BUILDS
 from repro.fuzz import generate_source
+from repro.runtime import interp
 from repro.session import BUILD_CONFIGS, Session
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "vm_golden.json"
@@ -146,8 +152,14 @@ def test_figure17_builds(perf_runs, golden):
             )
 
 
-@pytest.mark.parametrize("seed", GENERATED_SEEDS)
-def test_generated_program(seed, golden):
+@pytest.mark.parametrize(
+    "seed, hot",
+    [pytest.param(seed, False, id=str(seed)) for seed in GENERATED_SEEDS]
+    + [pytest.param(seed, True, id=f"hot-{seed}") for seed in GENERATED_SEEDS],
+)
+def test_generated_program(seed, hot, golden, monkeypatch):
+    if hot:
+        monkeypatch.setattr(interp, "HOT_PER_INSTR", 0)
     assert generated_record(seed) == golden["generated"][str(seed)]
 
 

@@ -7,13 +7,10 @@ from .harness import (
     BenchmarkRun,
     BuildResult,
     PERFORMANCE_PROGRAMS,
-    SuiteSamples,
-    performance_specs,
     run_all,
     run_benchmark,
     run_named,
     run_performance_suite,
-    run_suite_samples,
 )
 from .metadata import BenchmarkInfo, FieldCounts
 from .report import generate_report, write_report
@@ -33,13 +30,10 @@ __all__ = [
     "figure17",
     "FigureData",
     "PERFORMANCE_PROGRAMS",
-    "SuiteSamples",
-    "performance_specs",
     "run_all",
     "run_benchmark",
     "run_named",
     "run_performance_suite",
-    "run_suite_samples",
     "generate_report",
     "write_report",
 ]

@@ -13,16 +13,15 @@ The (benchmark, build) pairs of the matrix are independent, so
 over a process pool.  Each worker owns its tracer and analysis cache and
 returns a picklable :class:`_PairResult`; the parent reassembles the
 exact :class:`BenchmarkRun` structures of the serial path (same build
-order, same divergence checks, same trace-event schema), so figures,
-reports, and baselines are bit-identical either way.  Every build gets
-its own single-owner :class:`~repro.obs.Tracer` unconditionally — serial
-or parallel — and the per-build events/aggregates are merged into the
+order, same divergence checks, same trace-event schema), so figures and
+reports are bit-identical either way.  Every build gets its own
+single-owner :class:`~repro.obs.Tracer` unconditionally — serial or
+parallel — and the per-build events/aggregates are merged into the
 caller's tracer at join (see docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -306,8 +305,7 @@ def _run_matrix(
     data identical to a serial run.  Note that pair granularity means a
     worker cannot reuse another build's analysis fixpoint (each owns its
     cache), so per-phase *timings* differ from a serial run even though
-    every figure-visible quantity is identical; record and check
-    baselines with the same ``--jobs`` mode.
+    every figure-visible quantity is identical.
     """
     anchor = _anchor_build(builds)
     tasks = [
@@ -367,158 +365,3 @@ def run_performance_suite(jobs: int = 1, **kwargs) -> dict[str, BenchmarkRun]:
     for name, (source, info) in specs.items():
         results[name] = run_benchmark(name, source, info, PERFORMANCE_BUILDS, **kwargs)
     return results
-
-
-# ----------------------------------------------------------------------
-# Repeated runs: the sample sheets the perf-history ledger records.
-
-
-def performance_specs() -> dict[str, tuple[str, BenchmarkInfo | None]]:
-    """The Figure 17 spec dict (what ``repro bench`` measures by default)."""
-    return {
-        name: (source, BENCHMARKS.get(name, (None, None))[1])
-        for name, source in PERFORMANCE_PROGRAMS.items()
-    }
-
-
-def _locality_totals(locality: dict | None) -> dict | None:
-    """Collapse a bounded locality summary to ledger totals."""
-    if not locality:
-        return None
-    misses = accesses = 0
-    for entry in locality.get("labels", []):
-        misses += int(entry.get("misses", 0))
-        accesses += int(entry.get("accesses", 0))
-    return {"misses": misses, "accesses": accesses}
-
-
-def _config_descriptor(obj: object) -> object:
-    """A JSON-serializable description of a config object (for hashing)."""
-    if obj is None:
-        return None
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return dataclasses.asdict(obj)
-    return repr(obj)
-
-
-@dataclass(slots=True)
-class SuiteSamples:
-    """``repeat`` suite runs folded into per-(benchmark, build) samples.
-
-    ``runs`` is the final repetition's full :class:`BenchmarkRun` dict —
-    figures, reports, and the baseline gate consume it exactly as they
-    would a single run.  ``samples`` is the ledger payload: every
-    repetition's cycles and wall times as parallel sample lists, which
-    is what the statistical check (:mod:`repro.obs.history`) pools.
-    """
-
-    runs: dict[str, BenchmarkRun]
-    samples: dict[str, dict[str, dict]]
-    repeat: int
-    jobs: int
-    builds: tuple[str, ...]
-    suite: str
-    locality: bool = False
-
-    def ledger_benchmarks(self) -> dict:
-        """The ``benchmarks`` field of a ledger entry."""
-        return self.samples
-
-    def ledger_config(self) -> dict:
-        """The hashed measurement configuration (``--jobs`` excluded:
-        it is environment metadata, not part of what was measured)."""
-        return {
-            "suite": self.suite,
-            "benchmarks": sorted(self.samples),
-            "builds": list(self.builds),
-            "locality": self.locality,
-        }
-
-
-def _fold_samples(
-    samples: dict[str, dict[str, dict]], runs: dict[str, BenchmarkRun]
-) -> None:
-    """Append one repetition's measurements to the sample sheets."""
-    for name, bench in runs.items():
-        bench_samples = samples.setdefault(name, {})
-        for build, result in bench.builds.items():
-            slot = bench_samples.setdefault(
-                build,
-                {
-                    "cycles": [],
-                    "phases": {},
-                    "optimize_seconds": [],
-                    "run_seconds": [],
-                    "code_size": result.code_size,
-                    "locality": _locality_totals(result.locality),
-                },
-            )
-            slot["cycles"].append(result.cycles)
-            slot["optimize_seconds"].append(result.optimize_seconds)
-            slot["run_seconds"].append(result.run_seconds)
-            for phase, seconds in result.phase_seconds.items():
-                slot["phases"].setdefault(phase, []).append(seconds)
-
-
-def run_suite_samples(
-    repeat: int = 1,
-    jobs: int = 1,
-    specs: dict[str, tuple[str, BenchmarkInfo | None]] | None = None,
-    builds: tuple[str, ...] = BUILDS,
-    cache_config: CacheConfig | None = None,
-    config: AnalysisConfig | None = None,
-    tracer=NULL_TRACER,
-    locality: bool = False,
-    suite: str = "figure17",
-) -> SuiteSamples:
-    """Run a suite ``repeat`` times and collect per-phase sample lists.
-
-    Every repetition is a cold measurement — sessions (and their
-    analysis caches) are rebuilt each time, so wall-time samples carry
-    real run-to-run noise rather than cache hits.  The deterministic
-    quantities (cycles, code size, locality totals) are identical across
-    repetitions; recording them as lists anyway keeps the ledger shape
-    uniform and lets the check prove they did not move.  All repetitions
-    trace into ``tracer`` when one is given.
-    """
-    if repeat < 1:
-        raise ValueError(f"repeat must be >= 1, got {repeat}")
-    if specs is None:
-        specs = performance_specs()
-    samples: dict[str, dict[str, dict]] = {}
-    runs: dict[str, BenchmarkRun] = {}
-    for _ in range(repeat):
-        if jobs > 1:
-            runs = _run_matrix(
-                specs,
-                builds,
-                jobs,
-                cache_config=cache_config,
-                config=config,
-                tracer=tracer,
-                locality=locality,
-            )
-        else:
-            runs = {
-                name: run_benchmark(
-                    name,
-                    source,
-                    info,
-                    builds,
-                    cache_config=cache_config,
-                    config=config,
-                    tracer=tracer,
-                    locality=locality,
-                )
-                for name, (source, info) in specs.items()
-            }
-        _fold_samples(samples, runs)
-    return SuiteSamples(
-        runs=runs,
-        samples=samples,
-        repeat=repeat,
-        jobs=jobs,
-        builds=builds,
-        suite=suite,
-        locality=locality,
-    )

@@ -9,10 +9,9 @@ Usage::
     repro analyze PROGRAM.icc [--json] [--trace FILE]
     repro ir PROGRAM.icc [--optimized]
     repro codegen PROGRAM.icc [--optimized]
-    repro bench --figure {14,15,16,17,all} [--jobs N] [--repeat N] [--trace FILE] [--locality]
-    repro bench --check [--repeat N] [--history FILE] [--baseline FILE]
-    repro bench --check-baseline | --update-baseline [--baseline FILE] [--jobs N]
-    repro perf record | list | diff REV1 REV2 | trend METRIC [--history FILE]
+    repro bench [--figure {14,15,16,17,all} | --output FILE] [--jobs N] [--trace FILE] [--locality]
+    repro perf record RESULTS REV [--note TEXT] [--history FILE]
+    repro perf list | diff REV1 REV2 | trend METRIC [--history FILE]
     repro export chrome TRACE [TRACE2 ...] [-o FILE]
     repro export flame TRACE [TRACE2 ...] [-o FILE]
     repro trace FILE [FILE ...]
@@ -20,7 +19,8 @@ Usage::
 
 Every compile command drives a :class:`repro.Session`, so a command that
 needs several builds of one program (or analysis + optimization) pays
-for parsing and analysis once.
+for parsing and analysis once.  A program that cannot be read, compiled
+or run prints one ``error: FILE:LINE:COL: message`` line and exits 1.
 
 ``--trace FILE`` streams compiler/VM observability events (phase spans,
 counters, the inlining decision trace) as JSONL to FILE; ``repro trace
@@ -32,12 +32,12 @@ FILE`` summarizes such a file into per-phase time and counter tables.
 misses a layout change eliminated.  See docs/OBSERVABILITY.md for the
 event schema.
 
-Performance history: ``repro bench`` (and ``repro perf record``) append
-each measured run to the ``PERF_HISTORY.jsonl`` ledger; ``repro bench
---check`` issues statistical pass/regressed/improved verdicts against
-the ledger's recent window; ``repro perf list/diff/trend`` browse it.
-``repro export chrome|flame`` converts a span trace for Perfetto or
-speedscope/flamegraph.pl.
+``repro bench`` prints the paper's figures and writes no file unless
+asked to.  Performance history: ``repro perf record RESULTS REV``
+appends a ``perf/bench.py --out`` results file, summarized, to the
+``PERF_HISTORY.jsonl`` ledger; ``repro perf list/diff/trend`` browse
+it.  ``repro export chrome|flame`` converts a span trace for Perfetto
+or speedscope/flamegraph.pl.
 
 Compile service: ``repro serve`` runs the asyncio compile daemon on a
 local socket (content-addressed artifact cache, process-pool workers,
@@ -45,10 +45,9 @@ per-request timeouts, graceful shutdown — see docs/SERVICE.md);
 ``repro loadgen`` replays the benchmark corpus against it at a chosen
 concurrency and reports throughput + p50/p95/p99 latency (client-side
 *and* daemon-histogram-derived, cross-checked to agree within one
-bucket), recording the run into the perf-history ledger.  ``repro
-metrics`` scrapes a live daemon's metrics registry — a human panel by
-default, Prometheus text exposition with ``--prom``, or a refreshing
-TTY dashboard with ``--watch``.
+bucket).  ``repro metrics`` scrapes a live daemon's metrics registry —
+a human panel by default, Prometheus text exposition with ``--prom``,
+or a refreshing TTY dashboard with ``--watch``.
 
 (also runnable as ``python -m repro.cli ...``)
 """
@@ -60,40 +59,47 @@ import json
 import sys
 
 from .bench import figures as bench_figures
-from .bench.baseline import (
-    DEFAULT_BASELINE_PATH,
-    check_baseline,
-    load_baseline,
-    write_baseline,
-)
-from .bench.harness import run_all, run_performance_suite, run_suite_samples
+from .bench.harness import run_all, run_performance_suite
 from .codegen import generate
 from .ir import format_program
+from .lang import ReproError
 from .obs import (
     NULL_TRACER,
-    append_entry,
-    check_entry,
-    environment,
     export_chrome_file,
     export_collapsed_file,
-    load_history,
     locality_from_file,
-    make_entry,
-    render_entry_diff,
     render_file,
     render_heatmap,
-    render_history_list,
     render_locality_diff,
     render_summary,
-    render_trend,
-    render_verdicts,
     report_from_stats,
-    resolve_rev,
     summarize_files,
     tracer_to_file,
 )
-from .obs.history import DEFAULT_HISTORY_PATH
+from .runtime import ReproRuntimeError
 from .session import Session
+
+#: Where ``repro perf`` keeps the ledger unless told otherwise.
+DEFAULT_HISTORY_PATH = "PERF_HISTORY.jsonl"
+
+#: What a bad program raises: a file that cannot be read, a front-end
+#: error, or a VM error.  Each message already carries FILE:LINE:COL.
+#: Internal compiler errors are not among them and keep their traceback.
+PROGRAM_ERRORS = (OSError, ReproError, ReproRuntimeError)
+
+
+def _program_command(command):
+    """``command`` with a bad program reported as one ``error:`` line
+    (exit 1) instead of a traceback."""
+
+    def guarded(args: argparse.Namespace) -> int:
+        try:
+            return command(args)
+        except PROGRAM_ERRORS as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
+
+    return guarded
 
 
 def _make_tracer(args: argparse.Namespace):
@@ -151,6 +157,7 @@ def _add_build_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@_program_command
 def cmd_run(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     try:
@@ -239,6 +246,7 @@ def _escape_payload(report) -> dict | None:
     }
 
 
+@_program_command
 def cmd_analyze(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     try:
@@ -290,12 +298,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+@_program_command
 def cmd_ir(args: argparse.Namespace) -> int:
     session = _make_session(args)
     print(format_program(session.program_for(_build_name(args))))
     return 0
 
 
+@_program_command
 def cmd_codegen(args: argparse.Namespace) -> int:
     session = _make_session(args)
     result = generate(session.program_for(_build_name(args)))
@@ -308,63 +318,10 @@ def cmd_codegen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _measure_suite_entry(args: argparse.Namespace, tracer, jobs: int):
-    """Run the Figure-17 suite ``--repeat`` times; (samples, ledger entry)."""
-    samples = run_suite_samples(
-        repeat=args.repeat, jobs=jobs, tracer=tracer, locality=args.locality
-    )
-    entry = make_entry(
-        samples.ledger_benchmarks(),
-        samples.ledger_config(),
-        environment(jobs=jobs),
-        repeat=args.repeat,
-        note=getattr(args, "note", None),
-    )
-    return samples, entry
-
-
-def _record_entry(args: argparse.Namespace, entry: dict, history: list[dict]) -> None:
-    append_entry(args.history, entry)
-    print(f"recorded ledger entry #{len(history)} in {args.history}")
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     jobs = max(1, args.jobs)
-    locality = args.locality
     try:
-        if args.check:
-            # Statistical gate: verdicts from the ledger's recent window,
-            # falling back to the single-sample baseline where history is
-            # too thin (fresh clones stay protected).
-            try:
-                baseline = load_baseline(args.baseline)
-            except (OSError, json.JSONDecodeError):
-                baseline = None
-            samples, entry = _measure_suite_entry(args, tracer, jobs)
-            history = load_history(args.history)
-            verdicts = check_entry(entry, history, baseline=baseline)
-            print(render_verdicts(verdicts))
-            if not args.no_record:
-                _record_entry(args, entry, history)
-            return 1 if any(v.failed for v in verdicts) else 0
-        if args.check_baseline or args.update_baseline:
-            # The gate only compares compile-phase timings, so locality
-            # attribution (a run-time feature) cannot perturb the verdict;
-            # enabling it here just enriches the emitted trace.
-            runs = run_performance_suite(tracer=tracer, jobs=jobs, locality=locality)
-            if args.update_baseline:
-                path = write_baseline(args.baseline, runs)
-                print(f"wrote {path}")
-                return 0
-            regressions = check_baseline(runs, load_baseline(args.baseline))
-            if regressions:
-                print(f"{len(regressions)} phase regression(s) vs {args.baseline}:")
-                for line in regressions:
-                    print(f"  {line}")
-                return 1
-            print(f"phase timings within tolerance of {args.baseline}")
-            return 0
         if args.output:
             from .bench.report import write_report
 
@@ -372,27 +329,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"wrote {path}")
             return 0
         wanted = args.figure
-        if wanted in ("14", "15", "16"):
-            runs = run_all(tracer=tracer, jobs=jobs, locality=locality)
-            figure = getattr(bench_figures, f"figure{wanted}")(runs)
-            print(figure.render())
-        else:
-            # Figure 17 (alone or in "all") measures the performance
-            # suite through the repeat/sample path, so every such bench
-            # run also lands one entry in the perf-history ledger.
-            samples, entry = _measure_suite_entry(args, tracer, jobs)
-            if wanted == "all":
-                runs = run_all(tracer=tracer, jobs=jobs, locality=locality)
-                for figure in (
-                    bench_figures.figure14(runs),
-                    bench_figures.figure15(runs),
-                    bench_figures.figure16(runs),
-                ):
-                    print(figure.render())
+        if wanted != "17":
+            runs = run_all(tracer=tracer, jobs=jobs, locality=args.locality)
+            for number in ("14", "15", "16") if wanted == "all" else (wanted,):
+                print(getattr(bench_figures, f"figure{number}")(runs).render())
+                if wanted == "all":
                     print()
-            print(bench_figures.figure17(samples.runs).render())
-            if not args.no_record:
-                _record_entry(args, entry, load_history(args.history))
+        if wanted in ("17", "all"):
+            runs = run_performance_suite(tracer=tracer, jobs=jobs, locality=args.locality)
+            print(bench_figures.figure17(runs).render())
         return 0
     finally:
         tracer.close()
@@ -400,32 +345,34 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_perf(args: argparse.Namespace) -> int:
     """The ``repro perf`` verb group: record / list / diff / trend."""
+    from .obs import history
+
     if args.perf_command == "record":
-        tracer = _make_tracer(args)
         try:
-            _, entry = _measure_suite_entry(args, tracer, max(1, args.jobs))
-        finally:
-            tracer.close()
-        history = load_history(args.history)
-        _record_entry(args, entry, history)
-        verdicts = check_entry(entry, history)
-        print(render_verdicts(verdicts))
+            with open(args.results, encoding="utf-8") as handle:
+                entry = history.entry_from_results(json.load(handle), args.rev, args.note)
+        except (OSError, ValueError) as error:
+            print(f"error: cannot record {args.results}: {error}", file=sys.stderr)
+            return 2
+        count = len(history.load_history(args.history))
+        history.append_entry(args.history, entry)
+        print(f"recorded ledger entry #{count} ({args.rev}) in {args.history}")
         return 0
-    entries = load_history(args.history)
+    entries = history.load_history(args.history)
     if args.perf_command == "list":
-        print(render_history_list(entries, limit=args.limit))
+        print(history.render_history_list(entries, limit=args.limit))
         return 0
     if args.perf_command == "diff":
         try:
-            base = resolve_rev(entries, args.base)
-            diff = resolve_rev(entries, args.diff)
+            base = history.resolve_rev(entries, args.base)
+            diff = history.resolve_rev(entries, args.diff)
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        print(render_entry_diff(base, diff))
+        print(history.render_entry_diff(base, diff))
         return 0
     if args.perf_command == "trend":
-        print(render_trend(entries, args.metric, build=args.build, last=args.last))
+        print(history.render_trend(entries, args.metric, last=args.last))
         return 0
     raise AssertionError(f"unknown perf command {args.perf_command!r}")
 
@@ -541,7 +488,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
     """Replay the benchmark corpus against a live daemon."""
-    from .service import ServiceThread, report_entry, run_loadgen, write_report_json
+    from .service import ServiceThread, run_loadgen, write_report_json
 
     try:
         fault_plan = _parse_fault_plan(getattr(args, "fault_plan", None))
@@ -589,9 +536,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     print(report.render())
     if args.json:
         print(f"wrote {write_report_json(args.json, report)}")
-    if not args.no_record:
-        entry = report_entry(report, note=getattr(args, "note", None))
-        _record_entry(args, entry, load_history(args.history))
     # Under chaos, error replies are expected (that is the point); what
     # must never happen is a client-visible *incorrect* reply.
     if report.incorrect:
@@ -862,18 +806,6 @@ def main(argv: list[str] | None = None) -> int:
         "--output", metavar="FILE", help="write the full markdown report to FILE"
     )
     bench_parser.add_argument(
-        "--check-baseline", action="store_true",
-        help="fail if any compile phase regresses beyond the stored baseline",
-    )
-    bench_parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="re-measure and overwrite the stored phase-time baseline",
-    )
-    bench_parser.add_argument(
-        "--baseline", metavar="FILE", default=DEFAULT_BASELINE_PATH,
-        help=f"baseline file for --check/--update-baseline (default {DEFAULT_BASELINE_PATH})",
-    )
-    bench_parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="fan (benchmark, build) pairs over N worker processes "
         "(default 1 = serial; figures are identical either way)",
@@ -882,28 +814,6 @@ def main(argv: list[str] | None = None) -> int:
         "--locality", action="store_true",
         help="run benchmarks with cache-miss attribution; per-build "
         "locality rides along in the trace and the markdown report",
-    )
-    bench_parser.add_argument(
-        "--repeat", type=int, default=1, metavar="N",
-        help="measure the performance suite N times (cold each time) and "
-        "record all samples in the perf-history ledger (default 1)",
-    )
-    bench_parser.add_argument(
-        "--check", action="store_true",
-        help="statistical regression check: verdicts vs the perf-history "
-        "ledger's recent window (median + MAD), with BENCH_BASELINE.json "
-        "as fallback while history is thin",
-    )
-    bench_parser.add_argument(
-        "--history", metavar="FILE", default=DEFAULT_HISTORY_PATH,
-        help=f"perf-history ledger (default {DEFAULT_HISTORY_PATH})",
-    )
-    bench_parser.add_argument(
-        "--no-record", action="store_true",
-        help="do not append this run to the perf-history ledger",
-    )
-    bench_parser.add_argument(
-        "--note", metavar="TEXT", help="free-form note stored on the ledger entry"
     )
     _add_trace_flag(bench_parser)
     bench_parser.set_defaults(func=cmd_bench)
@@ -920,33 +830,30 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     record_parser = perf_sub.add_parser(
-        "record", help="measure the performance suite and append a ledger entry"
+        "record", help="append a perf/bench.py results file to the ledger"
     )
-    record_parser.add_argument("--repeat", type=int, default=3, metavar="N",
-                               help="samples per phase (default 3)")
-    record_parser.add_argument("--jobs", type=int, default=1, metavar="N")
-    record_parser.add_argument("--locality", action="store_true",
-                               help="also record locality totals")
-    record_parser.add_argument("--note", metavar="TEXT",
-                               help="free-form note stored on the entry")
+    record_parser.add_argument(
+        "results", help="results file written by `perf/bench.py --out`"
+    )
+    record_parser.add_argument(
+        "rev", help="the code that produced it: a commit, or <commit>-dirty"
+    )
+    record_parser.add_argument(
+        "--note", metavar="TEXT", help="free-form note stored on the entry"
+    )
     _add_history_flag(record_parser)
-    _add_trace_flag(record_parser)
     record_parser.set_defaults(func=cmd_perf)
 
-    list_parser = perf_sub.add_parser("list", help="list recorded runs")
+    list_parser = perf_sub.add_parser("list", help="list the ledger's entries")
     list_parser.add_argument("--limit", type=int, default=20, metavar="N")
     _add_history_flag(list_parser)
     list_parser.set_defaults(func=cmd_perf)
 
     diff_parser = perf_sub.add_parser(
-        "diff", help="jitdiff-style comparison of two recorded runs"
+        "diff", help="medians, changes and quartile spreads of two entries"
     )
-    diff_parser.add_argument(
-        "base", help="ledger index (0, -1, ...) or git-revision prefix"
-    )
-    diff_parser.add_argument(
-        "diff", help="ledger index (0, -1, ...) or git-revision prefix"
-    )
+    diff_parser.add_argument("base", help="ledger index (0, -1, ...) or revision prefix")
+    diff_parser.add_argument("diff", help="ledger index (0, -1, ...) or revision prefix")
     _add_history_flag(diff_parser)
     diff_parser.set_defaults(func=cmd_perf)
 
@@ -955,11 +862,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     trend_parser.add_argument(
         "metric",
-        help="`cycles`, a phase name (`analyze`, `opt.dce`, ...), "
-        "`optimize_seconds`, or `run_seconds`",
-    )
-    trend_parser.add_argument(
-        "--build", default="inline", help="build to plot (default inline)"
+        help="an end-to-end metric (`throughput_ops_s`, `latency_p99_ms`, ...) "
+        "or a per-layer one (`analysis.fixpoint_s`, ...)",
     )
     trend_parser.add_argument("--last", type=int, default=40, metavar="N",
                               help="plot the last N entries (default 40)")
@@ -1091,17 +995,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     loadgen_parser.add_argument(
         "--json", metavar="FILE", help="also write the full report as JSON"
-    )
-    loadgen_parser.add_argument(
-        "--note", metavar="TEXT", help="free-form note stored on the ledger entry"
-    )
-    loadgen_parser.add_argument(
-        "--no-record", action="store_true",
-        help="do not append this run to the perf-history ledger",
-    )
-    loadgen_parser.add_argument(
-        "--history", metavar="FILE", default=DEFAULT_HISTORY_PATH,
-        help=f"perf-history ledger (default {DEFAULT_HISTORY_PATH})",
     )
     loadgen_parser.add_argument(
         "--verify", action="store_true",

@@ -16,7 +16,7 @@ The pieces, bottom-up:
   worker-crash requeue, graceful drain, per-run trace directories.
 - :mod:`~repro.service.client` — a blocking one-connection client.
 - :mod:`~repro.service.loadgen` — the latency/throughput load
-  generator and its PERF_HISTORY ledger bridge.
+  generator.
 
 CLI: ``repro serve`` / ``repro loadgen``.  Protocol, failure semantics,
 and SLO methodology: docs/SERVICE.md.
@@ -41,7 +41,6 @@ from .loadgen import (
     default_corpus,
     percentile,
     percentile_crosscheck,
-    report_entry,
     run_loadgen,
     write_report_json,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "make_run_dir",
     "percentile",
     "percentile_crosscheck",
-    "report_entry",
     "run_loadgen",
     "serve",
     "service_work",

@@ -5,9 +5,9 @@ concurrency, then reports what a service owner actually watches:
 **throughput**, **p50/p95/p99 latency**, the **cold vs warm split**
 (cold = a real compile reached a worker; warm = answered from the
 content-addressed artifact store), and the daemon's own cache counters.
-Every run can be appended to the PERF_HISTORY ledger — the same
-append-only record `repro bench` writes — so latency percentiles get
-trend lines and `repro perf diff` comparisons like any other metric.
+It writes no file unless asked (``--json``); the recorded service
+latency is the ``perf/bench.py`` service workloads', which the ledger
+(``repro perf record``) keeps.
 
 The measurement model is deliberately simple and honest: ``concurrency``
 worker threads each hold one persistent connection and pull request
@@ -25,7 +25,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..obs.history import environment, make_entry
 from ..obs.metrics import (
     _histogram_series,
     bucket_index,
@@ -34,9 +33,6 @@ from ..obs.metrics import (
 )
 from ..session import CompileConfig
 from .client import ServiceClient, ServiceError
-
-#: Ledger suite name; its config hash never pools with `repro bench` runs.
-LOADGEN_SUITE = "service-loadgen"
 
 
 def default_corpus() -> dict[str, str]:
@@ -474,67 +470,6 @@ def run_loadgen(
         daemon_latency=daemon_latency,
         percentile_check=percentile_check,
         metrics_snapshot=metrics_snapshot,
-    )
-
-
-# ----------------------------------------------------------------------
-# The perf-history ledger bridge.
-
-
-def report_entry(report: LoadgenReport, note: str | None = None) -> dict:
-    """One PERF_HISTORY ledger entry for a loadgen run.
-
-    The measurement config (suite, op, build, request count, concurrency,
-    corpus) is content-hashed exactly like a bench entry, so loadgen
-    runs pool only with loadgen runs of the same shape; ``concurrency``
-    doubles as the entry's ``jobs`` environment field.  Latency
-    percentiles land as (seconds-valued) phase samples, which gives them
-    `repro perf trend latency_p50` sparklines for free.
-    """
-    phases: dict[str, list[float]] = {}
-    if report.latency:
-        phases["latency_p50"] = [report.latency.p50]
-        phases["latency_p95"] = [report.latency.p95]
-        phases["latency_p99"] = [report.latency.p99]
-    if report.cold:
-        phases["latency_cold_p50"] = [report.cold.p50]
-    if report.warm:
-        phases["latency_warm_p50"] = [report.warm.p50]
-    if report.daemon_latency:
-        # The daemon's histogram-derived percentiles ride along with the
-        # client-side ones, so `repro perf trend` can surface a drift
-        # between the two measurement paths as readily as a regression.
-        phases["latency_daemon_p50"] = [report.daemon_latency["p50_s"]]
-        phases["latency_daemon_p95"] = [report.daemon_latency["p95_s"]]
-        phases["latency_daemon_p99"] = [report.daemon_latency["p99_s"]]
-    benchmarks = {
-        "service": {
-            report.op: {
-                "cycles": [],
-                "phases": phases,
-                "optimize_seconds": [],
-                "run_seconds": [],
-                "throughput_rps": round(report.throughput_rps, 2),
-                "errors": report.errors,
-                "requests": report.requests,
-                "cached_replies": report.cached_replies,
-            }
-        }
-    }
-    config = {
-        "suite": LOADGEN_SUITE,
-        "op": report.op,
-        "build": report.build,
-        "requests": report.requests,
-        "concurrency": report.concurrency,
-        "corpus": sorted(report.corpus),
-    }
-    return make_entry(
-        benchmarks,
-        config,
-        environment(jobs=report.concurrency),
-        repeat=1,
-        note=note,
     )
 
 

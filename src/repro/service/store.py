@@ -5,8 +5,8 @@ compiled**, never by who asked: the key is ``(kind, source_key,
 config_key)`` where ``source_key`` is the SHA-256 of the program text
 (:func:`repro.session.source_key`) and ``config_key`` is the canonical
 content hash of the :class:`repro.session.CompileConfig`
-(:meth:`~repro.session.CompileConfig.content_key` — the same scheme the
-perf-history ledger uses).  Two clients sending the same program with
+(:meth:`~repro.session.CompileConfig.content_key`, a sha256 of its
+canonical JSON).  Two clients sending the same program with
 the same config therefore share one artifact, across connections and
 across time.
 

@@ -27,12 +27,10 @@ followed by ``session.optimize()`` runs the (expensive) fixpoint once.
 :class:`CompileConfig` is the **canonical, immutable description of one
 build**: the pipeline switches plus the analysis knobs, with one
 canonical JSON serialization (:meth:`CompileConfig.to_dict`) and a
-content hash (:meth:`CompileConfig.content_key`) computed by the same
-:func:`repro.obs.history.config_key` the perf-history ledger hashes its
-measurement configs with.  The service's artifact store
-(:mod:`repro.service.store`) addresses compiled artifacts by
-``(source_key, CompileConfig.content_key())`` — one hashing scheme
-everywhere.
+content hash of it (:meth:`CompileConfig.content_key`).  The service's
+artifact store (:mod:`repro.service.store`) addresses compiled
+artifacts by ``(source_key, CompileConfig.content_key())`` — one
+hashing scheme everywhere.
 
 :class:`SessionPool` manages one session per (tenant, source) with LRU
 bounds and a per-tenant child tracer lane — the long-lived form of the
@@ -50,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -62,7 +61,6 @@ from .ir import compile_source as _compile_source
 from .ir import format_program
 from .ir.model import IRProgram
 from .obs import NULL_METRICS, NULL_TRACER
-from .obs.history import config_key as _config_key
 from .runtime import CacheConfig, RunResult
 from .runtime import run_program as _run_program
 
@@ -84,11 +82,10 @@ class CompileConfig:
     ``analysis`` carries the :class:`~repro.analysis.AnalysisConfig`
     knobs (``None`` means "the session's config, or the defaults").
 
-    Instances are frozen so one object can safely key session memo
-    tables, the service artifact store, and the perf-history ledger —
-    all three hash :meth:`to_dict` through
-    :func:`repro.obs.history.config_key`, so there is exactly one
-    canonical serialization of "what was compiled".
+    Instances are frozen so one object can safely key both session memo
+    tables and the service artifact store; both use
+    :meth:`content_key`, so there is exactly one canonical
+    serialization of "what was compiled".
     """
 
     inline: bool = True
@@ -136,8 +133,10 @@ class CompileConfig:
         return payload
 
     def content_key(self) -> str:
-        """Content hash; same scheme as the perf-history ledger."""
-        return _config_key(self.to_dict())
+        """Content hash: the first 16 hex digits of the sha256 of
+        :meth:`to_dict` as canonical JSON (sorted keys, no spaces)."""
+        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 #: ``Session.run``/``program_for`` build names -> :class:`CompileConfig`.
@@ -149,17 +148,6 @@ BUILD_CONFIGS: dict[str, CompileConfig | None] = {
     "noescape": CompileConfig(inline=True, escape_pass=False),
     "manual": CompileConfig(manual_only=True),
     "opt": CompileConfig(inline=True, max_rounds=3),
-}
-
-#: Legacy name -> kwargs mapping, kept for callers of the old
-#: ``Session.optimize(**options)`` convenience form.
-BUILD_OPTIONS: dict[str, dict[str, object] | None] = {
-    "plain": None,
-    "noinline": {"inline": False},
-    "inline": {"inline": True},
-    "noescape": {"inline": True, "escape_pass": False},
-    "manual": {"manual_only": True},
-    "opt": {"inline": True, "max_rounds": 3},
 }
 
 
@@ -248,8 +236,7 @@ class Session:
         """Run the inlining pipeline; one cached report per config.
 
         The build is described by an explicit :class:`CompileConfig`
-        (preferred — the same object the artifact store and perf ledger
-        hash).  The legacy keyword form (``inline=``, ``manual_only=``,
+        (preferred — the same object the artifact store hashes).  The legacy keyword form (``inline=``, ``manual_only=``,
         ``max_rounds=``, ...) is still accepted and is normalized into a
         ``CompileConfig``, so both forms share one memo table keyed by
         :meth:`CompileConfig.content_key`.  The analysis knobs come from

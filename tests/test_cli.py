@@ -1,5 +1,7 @@
 """CLI driver tests."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -103,3 +105,50 @@ class TestGracefulNoData:
         capsys.readouterr()
         assert main(["heatmap", trace, str(tmp_path / "absent.jsonl")]) == 1
         assert "cannot read trace" in capsys.readouterr().err
+
+
+class TestProgramErrors:
+    """A bad program prints one `error:` line with its location, not a
+    traceback; an internal compiler error still raises."""
+
+    @pytest.fixture()
+    def write(self, tmp_path):
+        def write(source):
+            path = tmp_path / "bad.icc"
+            path.write_text(source)
+            return str(path)
+
+        return write
+
+    @pytest.mark.parametrize("command", ["run", "analyze", "ir", "codegen"])
+    def test_missing_program_file(self, command, tmp_path, capsys):
+        missing = str(tmp_path / "absent.icc")
+        assert main([command, missing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and missing in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["run", "analyze", "ir", "codegen"])
+    def test_front_end_error(self, command, write, capsys):
+        path = write("def main() { print(x); }")
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:1:20: undeclared variable 'x'\n"
+
+    def test_vm_error_closes_the_trace(self, write, tmp_path, capsys):
+        path = write("def main() { print(1 / 0); }")
+        trace = tmp_path / "t.jsonl"
+        assert main(["run", path, "--inline", "--trace", str(trace)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:1:22: division by zero\n"
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert any(event.get("ev") == "span_end" for event in events)
+
+    def test_internal_compiler_error_still_raises(self, program_file, monkeypatch):
+        from repro.ir.validate import ValidationError
+
+        def broken(self, *args, **kwargs):
+            raise ValidationError("bad IR")
+
+        monkeypatch.setattr("repro.cli.Session.optimize", broken)
+        with pytest.raises(ValidationError):
+            main(["analyze", program_file])

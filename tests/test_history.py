@@ -1,316 +1,260 @@
-"""Perf-history ledger: robust stats, entry hashing/persistence, the
-statistical regression check, the ledger reports, and the CLI wiring.
+"""Perf-history ledger: recording ``perf/bench.py`` results files, the
+ledger's persistence, its reports, and the CLI wiring.
 
-The flagship differential tests pin the acceptance criteria: a
-deliberately slowed phase is flagged ``regressed`` while an identical
-re-run is not, serial and ``--jobs 2`` runs produce equivalent ledger
-entries, and ``repro bench --repeat 3`` appends an entry with three
-samples per phase.
+The ledger records; it does not measure or judge.  ``repro perf record``
+folds a results file into one entry of medians and quartiles, and
+refuses a file whose runs cannot be summarized together.
 """
 
+import copy
 import json
-import time
+import statistics
 
 import pytest
 
-from repro.bench.harness import run_suite_samples
 from repro.cli import main
 from repro.obs.history import (
-    ABS_SLACK,
-    MIN_HISTORY_SAMPLES,
+    EMPTY,
     append_entry,
-    check_entry,
-    comparable_entries,
-    config_key,
-    environment,
+    entry_from_results,
     load_history,
-    mad,
-    make_entry,
-    median,
     metric_series,
-    regression_margin,
     render_entry_diff,
     render_history_list,
     render_trend,
-    render_verdicts,
     resolve_rev,
     sparkline,
+    summarize,
 )
 
-#: One tiny benchmark that exercises all three builds quickly.
+#: One tiny benchmark that exercises every Figure-17 build quickly.
 TINY = """
 class P { var v; def init(v) { this.v = v; } }
 class C { var inline f; def init(p) { this.f = p; } }
 def main() { var c = new C(new P(5)); print(c.f.v); }
 """
 
-SPEC = {"tiny": (TINY, None)}
+
+def bench_run(seed, throughput, p99, code_bytes=4096, trace=0, **settings):
+    """One run as ``perf/bench.py --out`` appends it (fig17 only)."""
+    result = {
+        "setup_s": 1.0,
+        "setup_samples": [1.0, 1.2, 1.1],
+        "e2e": {
+            "setup_s": 1.1,
+            "throughput_ops_s": throughput,
+            "latency_p50_ms": 10.0,
+            "latency_p99_ms": p99,
+            "peak_rss_mb": 40.0,
+        },
+        "extra": {
+            "pass_s": [1.5, "s"],
+            "norm_cycles_geomean": [0.62, "ratio"],
+            "code_bytes": [code_bytes, "bytes"],
+            "allocations": [1200, "count"],
+            "failed_ratio": [0.0, "ratio"],
+        },
+        "attempted": 40,
+        "failed": 1,
+    }
+    if trace:
+        result["per_layer"] = {"analysis.fixpoint_s": throughput / 100, "ir.instrs": 512}
+    run = {"seed": seed, "seconds": 20, "trace": trace, "scale": "full"}
+    run.update(settings)
+    run["workloads"] = {"fig17": result}
+    return run
 
 
-def measure(repeat=1, jobs=1, suite="test-tiny"):
-    return run_suite_samples(
-        repeat=repeat, jobs=jobs, specs=dict(SPEC), suite=suite
+def two_runs(**settings) -> dict:
+    return {
+        "runs": [
+            bench_run(1, 10.0, 80.0, **settings),
+            bench_run(2, 14.0, 95.0, **settings),
+        ]
+    }
+
+
+def write_results(tmp_path, results, name="results.json") -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(results))
+    return str(path)
+
+
+def entries(*revs) -> list[dict]:
+    """One recorded entry per revision; throughput grows along the list."""
+    recorded = []
+    for index, rev in enumerate(revs):
+        results = two_runs()
+        for run in results["runs"]:
+            run["workloads"]["fig17"]["e2e"]["throughput_ops_s"] += index
+        recorded.append(entry_from_results(results, rev))
+    return recorded
+
+
+class TestRecord:
+    def test_medians_and_quartiles_match_statistics(self):
+        entry = entry_from_results(two_runs(), "abc123")
+        summary = entry["workloads"]["fig17"]["e2e"]["throughput_ops_s"]
+        q1, _, q3 = statistics.quantiles([10.0, 14.0], n=4)
+        assert summary == {
+            "median": statistics.median([10.0, 14.0]),
+            "q1": q1,
+            "q3": q3,
+            "n": 2,
+        }
+        assert set(entry["workloads"]["fig17"]["e2e"]) == {
+            "setup_s",
+            "throughput_ops_s",
+            "latency_p50_ms",
+            "latency_p99_ms",
+            "peak_rss_mb",
+        }
+
+    def test_single_run_is_its_own_quartiles(self):
+        assert summarize([3.0]) == {"median": 3.0, "q1": 3.0, "q3": 3.0, "n": 1}
+
+    def test_exact_metrics_counts_and_settings_are_kept(self):
+        results = two_runs()
+        results["runs"][1]["workloads"]["fig17"]["extra"]["code_bytes"][0] = 4100
+        entry = entry_from_results(results, "abc123-dirty", note="two runs")
+        fig17 = entry["workloads"]["fig17"]
+        assert fig17["exact"] == {
+            "norm_cycles_geomean": [0.62, 0.62],
+            "code_bytes": [4096, 4100],
+            "allocations": [1200, 1200],
+        }
+        assert fig17["seeds"] == [1, 2]
+        assert (fig17["attempted"], fig17["failed"]) == (80, 2)
+        assert "per_layer" not in fig17
+        assert entry["runs"] == {
+            "count": 2,
+            "seeds": [1, 2],
+            "scale": "full",
+            "seconds": 20,
+            "trace": 0,
+        }
+        assert entry["rev"] == "abc123-dirty" and entry["note"] == "two runs"
+        assert entry["v"] == 2 and entry["host"]["hostname"]
+
+    def test_traced_runs_summarize_per_layer_metrics(self):
+        entry = entry_from_results(two_runs(trace=1), "abc123")
+        per_layer = entry["workloads"]["fig17"]["per_layer"]
+        assert per_layer["analysis.fixpoint_s"]["median"] == pytest.approx(0.12)
+        assert per_layer["ir.instrs"]["median"] == 512
+
+    @pytest.mark.parametrize(
+        "setting, value", [("scale", "smoke"), ("seconds", 1), ("trace", 1)]
     )
+    def test_mixed_settings_are_refused(self, tmp_path, capsys, setting, value):
+        results = two_runs()
+        results["runs"][1][setting] = value
+        with pytest.raises(ValueError, match=setting):
+            entry_from_results(results, "abc123")
+        history = tmp_path / "hist.jsonl"
+        history.write_text("untouched\n")
+        argv = ["perf", "record", write_results(tmp_path, results), "abc123"]
+        assert main(argv + ["--history", str(history)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert history.read_text() == "untouched\n"
 
+    @pytest.mark.parametrize("results", [{"runs": []}, {}, []])
+    def test_no_runs_are_refused(self, tmp_path, capsys, results):
+        history = tmp_path / "hist.jsonl"
+        argv = ["perf", "record", write_results(tmp_path, results), "abc123"]
+        assert main(argv + ["--history", str(history)]) == 2
+        assert "no runs" in capsys.readouterr().err
+        assert not history.exists()
 
-def entry_of(samples, jobs=1, git_rev="deadbeef"):
-    env = environment(jobs=jobs)
-    env["git_rev"] = git_rev
-    return make_entry(
-        samples.ledger_benchmarks(),
-        samples.ledger_config(),
-        env,
-        repeat=samples.repeat,
-    )
-
-
-@pytest.fixture(scope="module")
-def tiny_history():
-    """Two recorded runs of the tiny suite (4 samples per phase)."""
-    return [entry_of(measure(repeat=2)) for _ in range(2)]
-
-
-class TestRobustStats:
-    def test_median(self):
-        assert median([3.0, 1.0, 2.0]) == 2.0
-        assert median([1.0, 2.0, 3.0, 4.0]) == 2.5
-        with pytest.raises(ValueError):
-            median([])
-
-    def test_mad(self):
-        assert mad([5.0]) == 0.0
-        assert mad([1.0, 1.0, 1.0]) == 0.0
-        assert mad([1.0, 2.0, 9.0]) == 1.0  # deviations from 2: [1, 0, 7]
-
-    def test_margin_never_below_absolute_slack(self):
-        assert regression_margin([0.0001, 0.0001, 0.0001]) == ABS_SLACK
-
-    def test_margin_scales_with_noise(self):
-        noisy = [0.1, 0.2, 0.1, 0.3, 0.2]
-        assert regression_margin(noisy) > regression_margin([0.2] * 5)
+    def test_missing_results_file_is_refused(self, tmp_path, capsys):
+        history = tmp_path / "hist.jsonl"
+        argv = ["perf", "record", str(tmp_path / "absent.json"), "abc123"]
+        assert main(argv + ["--history", str(history)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not history.exists()
 
 
 class TestLedgerEntries:
-    def test_config_key_is_stable_and_order_insensitive(self):
-        a = config_key({"suite": "s", "builds": ["x", "y"]})
-        b = config_key({"builds": ["x", "y"], "suite": "s"})
-        assert a == b and len(a) == 16
-
-    def test_config_key_distinguishes_configs(self):
-        assert config_key({"suite": "a"}) != config_key({"suite": "b"})
-
     def test_append_and_load_round_trip(self, tmp_path):
         path = str(tmp_path / "h.jsonl")
-        entry = make_entry({"b": {}}, {"suite": "s"}, {"jobs": 1})
+        entry = entry_from_results(two_runs(), "abc123")
         append_entry(path, entry)
         append_entry(path, entry)
         loaded = load_history(path)
-        assert len(loaded) == 2
-        assert loaded[0]["config_key"] == entry["config_key"]
+        assert loaded == [entry, entry]
 
     def test_load_skips_malformed_lines(self, tmp_path):
         path = tmp_path / "h.jsonl"
-        good = json.dumps(make_entry({"b": {}}, {"suite": "s"}, {}))
+        good = json.dumps(entry_from_results(two_runs(), "abc123"))
         path.write_text(f"not json\n{good}\n[1,2]\n\n")
         assert len(load_history(str(path))) == 1
+
+    def test_load_skips_version_1_entries(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        old = {"v": 1, "at": 0.0, "config_key": "0123", "benchmarks": {}}
+        good = entry_from_results(two_runs(), "abc123")
+        path.write_text(f"{json.dumps(old)}\n{json.dumps(good)}\n")
+        assert load_history(str(path)) == [good]
 
     def test_load_missing_file_is_empty(self, tmp_path):
         assert load_history(str(tmp_path / "absent.jsonl")) == []
 
-    def test_comparable_entries_filter_key_and_jobs(self):
-        e1 = make_entry({}, {"suite": "a"}, {"jobs": 1})
-        e2 = make_entry({}, {"suite": "a"}, {"jobs": 2})
-        e3 = make_entry({}, {"suite": "b"}, {"jobs": 1})
-        entries = [e1, e2, e3]
-        key = e1["config_key"]
-        assert comparable_entries(entries, key) == [e1, e2]
-        assert comparable_entries(entries, key, jobs=1) == [e1]
-
-
-class TestStatisticalCheck:
-    def test_identical_rerun_is_not_flagged(self, tiny_history):
-        fresh = entry_of(measure(repeat=2))
-        verdicts = check_entry(fresh, tiny_history)
-        assert verdicts, "expected phase verdicts"
-        assert not any(v.failed for v in verdicts)
-        gated = [v for v in verdicts if v.gates and v.source == "history"]
-        assert gated, "expected statistically gated phases"
-
-    def test_slowed_phase_is_flagged_regressed(self, tiny_history, monkeypatch):
-        from repro.opt.loadcse import eliminate_redundant_loads
-
-        def slow_pass(program):
-            time.sleep(0.03)
-            return eliminate_redundant_loads(program)
-
-        monkeypatch.setattr(
-            "repro.inlining.pipeline.eliminate_redundant_loads", slow_pass
-        )
-        slowed = entry_of(measure(repeat=2))
-        verdicts = check_entry(slowed, tiny_history)
-        failed = [v for v in verdicts if v.failed]
-        assert failed, "slowed opt.loadcse should regress"
-        assert all(v.metric == "opt.loadcse" for v in failed)
-        # The verdict quotes the measured distribution and the margin.
-        text = render_verdicts(verdicts)
-        assert "REGRESSED" in text and "MAD" in text and "margin" in text
-
-    def test_cycle_changes_inform_but_never_gate(self, tiny_history):
-        fresh = entry_of(measure(repeat=1))
-        for builds in fresh["benchmarks"].values():
-            for data in builds.values():
-                data["cycles"] = [c + 1000 for c in data["cycles"]]
-        verdicts = check_entry(fresh, tiny_history)
-        cycle_verdicts = [v for v in verdicts if v.metric == "cycles"]
-        assert cycle_verdicts
-        assert all(v.verdict == "regressed" for v in cycle_verdicts)
-        assert not any(v.failed for v in verdicts)
-        assert "informational" in render_verdicts(verdicts)
-
-    def test_unknown_config_has_no_history(self, tiny_history):
-        fresh = entry_of(measure(repeat=1, suite="different-suite"))
-        verdicts = check_entry(fresh, tiny_history)
-        gated = [v for v in verdicts if v.gates]
-        assert gated
-        assert all(v.verdict == "no-history" for v in gated)
-        assert not any(v.failed for v in verdicts)
-
-    def test_jobs_mode_pools_separately(self, tiny_history):
-        # Same config hash, different --jobs: wall-time noise must not
-        # pool across modes, so the parallel entry sees no history.
-        fresh = entry_of(measure(repeat=1), jobs=2)
-        verdicts = check_entry(fresh, tiny_history)
-        gated = [v for v in verdicts if v.gates]
-        assert all(v.source != "history" for v in gated)
-
-    def test_thin_history_falls_back_to_baseline(self):
-        samples = measure(repeat=1)
-        fresh = entry_of(samples)
-        phases = {
-            bench: {
-                build: {
-                    phase: values[0]
-                    for phase, values in data["phases"].items()
-                }
-                for build, data in builds.items()
-            }
-            for bench, builds in fresh["benchmarks"].items()
-        }
-        baseline = {"tolerance": 0.3, "min_seconds": 0.01, "phases": phases}
-        verdicts = check_entry(fresh, [], baseline=baseline)
-        fallback = [v for v in verdicts if v.source == "baseline"]
-        assert fallback, "thin history should gate via the baseline"
-        assert not any(v.failed for v in verdicts)
-        # A grossly regressed phase still fails through the fallback.
-        bad = {
-            "tolerance": 0.3,
-            "min_seconds": 1e-9,
-            "noise_floor": 1e-9,
-            "phases": {
-                bench: {
-                    build: {phase: 1e-9 for phase in data}
-                    for build, data in builds.items()
-                }
-                for bench, builds in phases.items()
-            },
-        }
-        verdicts = check_entry(fresh, [], baseline=bad)
-        assert any(v.failed and v.source == "baseline" for v in verdicts)
-        assert "compat gate" in render_verdicts(verdicts)
-
-    def test_min_samples_threshold_respected(self, tiny_history):
-        fresh = entry_of(measure(repeat=1))
-        verdicts = check_entry(
-            fresh, tiny_history, min_samples=MIN_HISTORY_SAMPLES + 100
-        )
-        assert all(v.source != "history" for v in verdicts if v.gates)
-
-
-class TestSerialParallelEquivalence:
-    def test_serial_and_jobs2_entries_are_equivalent(self):
-        serial = measure(repeat=1, jobs=1)
-        parallel = measure(repeat=1, jobs=2)
-        # Identical measurement config -> identical content hash.
-        assert serial.ledger_config() == parallel.ledger_config()
-        assert (
-            entry_of(serial)["config_key"] == entry_of(parallel, jobs=2)["config_key"]
-        )
-        # Every figure-visible quantity matches exactly.
-        s_benches, p_benches = serial.ledger_benchmarks(), parallel.ledger_benchmarks()
-        assert set(s_benches) == set(p_benches)
-        for bench in s_benches:
-            assert set(s_benches[bench]) == set(p_benches[bench])
-            for build in s_benches[bench]:
-                s_data, p_data = s_benches[bench][build], p_benches[bench][build]
-                assert s_data["cycles"] == p_data["cycles"]
-                assert s_data["code_size"] == p_data["code_size"]
-                assert s_data["locality"] == p_data["locality"]
-
 
 class TestLedgerReports:
-    def _entries(self):
-        entries = []
-        for i, cycles in enumerate([100, 90, 80]):
-            entry = make_entry(
-                {
-                    "tiny": {
-                        "inline": {
-                            "cycles": [cycles],
-                            "phases": {"analyze": [0.01 + i * 0.001]},
-                        }
-                    }
-                },
-                {"suite": "synthetic"},
-                {"git_rev": f"rev{i}cafe", "jobs": 1},
-            )
-            entries.append(entry)
-        return entries
-
     def test_list_renders_rows(self):
-        text = render_history_list(self._entries())
-        assert "rev0cafe" in text and "rev2cafe" in text
-        assert "100" in text
+        recorded = entries("rev0cafe", "0123456789abcdef0123456789abcdef01234567-dirty")
+        recorded[1]["note"] = "second"
+        text = render_history_list(recorded)
+        assert "rev0cafe" in text and "0123456789ab-dirty" in text
+        assert "2 run(s), seeds 1 2, full, 20s, trace 0" in text
+        assert "fig17" in text and "(second)" in text
 
     def test_list_empty_message(self):
-        assert "empty" in render_history_list([])
+        assert render_history_list([]) == EMPTY
 
     def test_resolve_rev_by_index_and_prefix(self):
-        entries = self._entries()
-        assert resolve_rev(entries, "0") is entries[0]
-        assert resolve_rev(entries, "-1") is entries[-1]
-        assert resolve_rev(entries, "rev1") is entries[1]
+        recorded = entries("rev0cafe", "rev1cafe", "rev2cafe")
+        assert resolve_rev(recorded, "0") is recorded[0]
+        assert resolve_rev(recorded, "-1") is recorded[-1]
+        assert resolve_rev(recorded, "rev1") is recorded[1]
         with pytest.raises(ValueError):
-            resolve_rev(entries, "nosuchrev")
+            resolve_rev(recorded, "nosuchrev")
         with pytest.raises(ValueError):
-            resolve_rev(entries, "99")
+            resolve_rev(recorded, "99")
         with pytest.raises(ValueError):
             resolve_rev([], "0")
 
     def test_resolve_rev_prefix_picks_latest(self):
-        entries = self._entries()
-        twin = dict(entries[0])
-        twin["env"] = {"git_rev": "rev0cafe", "jobs": 1}
-        entries.append(twin)
-        assert resolve_rev(entries, "rev0") is twin
+        recorded = entries("rev0cafe", "rev1cafe", "rev0cafe-dirty")
+        assert resolve_rev(recorded, "rev0") is recorded[2]
 
-    def test_diff_reports_cycles_and_movers(self):
-        entries = self._entries()
-        text = render_entry_diff(entries[0], entries[-1])
-        assert "100" in text and "80" in text
-        assert "improved" in text
-        assert "0.800" in text  # the ratio column
-        # analyze moved 0.010 -> 0.012 (+20% >= threshold) but only 2ms
-        # in absolute terms, which the 1ms absolute filter lets through.
-        assert "analyze" in text
+    def test_diff_reports_medians_spreads_and_exact_changes(self):
+        base, diff = entries("base", "diff")
+        text = render_entry_diff(base, diff)
+        # throughput: medians 12 -> 13, quartiles 9..15 -> 10..16.
+        row = next(line for line in text.splitlines() if "throughput_ops_s" in line)
+        assert row.split() == [
+            "fig17", "throughput_ops_s", "12", "13", "+8.33%", "50.00%", "46.15%"
+        ]
+        assert "exact metrics: no difference for any seed" in text
+        assert "perf/compare.py" in text
+        assert "REGRESSED" not in text and "improved" not in text
+        assert "1 of 40" not in text and "2 of 80 operations failed" in text
+
+        diff["workloads"]["fig17"]["exact"]["code_bytes"] = [4096, 5000]
+        text = render_entry_diff(base, diff)
+        assert "exact metrics differ:" in text
+        assert "fig17 code_bytes seed 2: 4096 != 5000" in text
+
+    def test_diff_notes_different_settings(self):
+        base = entries("base")[0]
+        smoke = entry_from_results(two_runs(scale="smoke"), "smoke")
+        assert "differ in scale, seconds or trace" in render_entry_diff(base, smoke)
 
     def test_diff_handles_missing_pairs(self):
-        entries = self._entries()
-        lonely = make_entry(
-            {"other": {"inline": {"cycles": [5], "phases": {}}}},
-            {"suite": "synthetic"},
-            {"git_rev": "aaa", "jobs": 1},
-        )
-        text = render_entry_diff(entries[0], lonely)
+        base = entries("base")[0]
+        other = copy.deepcopy(base)
+        other["workloads"]["compile"] = other["workloads"].pop("fig17")
+        text = render_entry_diff(base, other)
         assert "missing from diff" in text and "missing from base" in text
 
     def test_sparkline_spans_shades(self):
@@ -320,118 +264,64 @@ class TestLedgerReports:
         assert sparkline([5.0, 5.0]) == "▁▁"
 
     def test_metric_series_and_trend(self):
-        entries = self._entries()
-        assert metric_series(entries, "tiny", "inline", "cycles") == [100, 90, 80]
-        assert metric_series(entries, "tiny", "inline", "analyze") == [
-            0.01,
-            0.011,
-            0.012,
-        ]
-        text = render_trend(entries, "cycles")
-        assert "tiny" in text and "▁" in text and "█" in text
-        assert "latest 80" in text
+        recorded = entries("a", "b", "c")
+        assert metric_series(recorded, "fig17", "throughput_ops_s") == [12.0, 13.0, 14.0]
+        assert metric_series(recorded, "fig17", "latency_p99_ms") == [87.5] * 3
+        text = render_trend(recorded, "throughput_ops_s")
+        assert "fig17" in text and "▁" in text and "█" in text
+        assert "latest 14" in text
+
+    def test_trend_reads_per_layer_metrics(self):
+        traced = entry_from_results(two_runs(trace=1), "traced")
+        assert metric_series([traced], "fig17", "ir.instrs") == [512]
 
     def test_trend_unknown_metric_mentions_options(self):
-        text = render_trend(self._entries(), "bogus")
-        assert "no data" in text and "cycles" in text
+        text = render_trend(entries("a"), "bogus")
+        assert "no data" in text and "throughput_ops_s" in text
 
     def test_trend_empty_history(self):
-        assert "empty" in render_trend([], "cycles")
+        assert render_trend([], "throughput_ops_s") == EMPTY
 
 
 class TestBenchCLI:
     @pytest.fixture(autouse=True)
     def _tiny_suite(self, monkeypatch):
         """Point the CLI's performance suite at the tiny benchmark."""
-        monkeypatch.setattr(
-            "repro.bench.harness.PERFORMANCE_PROGRAMS", {"tiny": TINY}
-        )
+        monkeypatch.setattr("repro.bench.harness.PERFORMANCE_PROGRAMS", {"tiny": TINY})
 
-    def test_bench_repeat_appends_ledger_entry(self, tmp_path, capsys):
-        history = str(tmp_path / "hist.jsonl")
-        assert (
-            main(
-                [
-                    "bench",
-                    "--figure",
-                    "17",
-                    "--repeat",
-                    "3",
-                    "--history",
-                    history,
-                ]
-            )
-            == 0
-        )
+    def test_bench_figure17_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--figure", "17"]) == 0
         out = capsys.readouterr().out
-        assert "recorded ledger entry #0" in out
-        entries = load_history(history)
-        assert len(entries) == 1
-        assert entries[0]["repeat"] == 3
-        inline = entries[0]["benchmarks"]["tiny"]["inline"]
-        assert len(inline["cycles"]) == 3
-        assert all(len(v) == 3 for v in inline["phases"].values())
-
-    def test_bench_check_gates_and_records(self, tmp_path, capsys, monkeypatch):
-        history = str(tmp_path / "hist.jsonl")
-        baseline = str(tmp_path / "absent-baseline.json")
-        argv = [
-            "bench",
-            "--check",
-            "--repeat",
-            "2",
-            "--history",
-            history,
-            "--baseline",
-            baseline,
-        ]
-        # Two recording runs build the history; both pass (no history,
-        # then statistics where enough samples pooled).
-        assert main(argv) == 0
-        assert main(argv) == 0
-        capsys.readouterr()
-        assert len(load_history(history)) == 2
-
-        # Identical code re-run: still passing.
-        assert main(argv) == 0
-        assert "0 regressed" in capsys.readouterr().out
-        assert len(load_history(history)) == 3
-
-        # Deliberately slowed phase: flagged, nonzero exit, not recorded.
-        from repro.opt.loadcse import eliminate_redundant_loads
-
-        def slow_pass(program):
-            time.sleep(0.03)
-            return eliminate_redundant_loads(program)
-
-        monkeypatch.setattr(
-            "repro.inlining.pipeline.eliminate_redundant_loads", slow_pass
-        )
-        assert main(argv + ["--no-record"]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out and "opt.loadcse" in out
-        assert len(load_history(history)) == 3
+        assert "Figure 17" in out and "tiny" in out
+        assert list(tmp_path.iterdir()) == []
 
     def test_perf_record_and_reports(self, tmp_path, capsys):
         history = str(tmp_path / "hist.jsonl")
-        assert (
-            main(["perf", "record", "--repeat", "1", "--history", history]) == 0
-        )
-        capsys.readouterr()
+        results = write_results(tmp_path, two_runs())
+        for rev in ("aaaa111", "bbbb222-dirty"):
+            argv = ["perf", "record", results, rev, "--note", "test"]
+            assert main(argv + ["--history", history]) == 0
+        assert "recorded ledger entry #1 (bbbb222-dirty)" in capsys.readouterr().out
+        assert [e["rev"] for e in load_history(history)] == ["aaaa111", "bbbb222-dirty"]
         assert main(["perf", "list", "--history", history]) == 0
-        assert "recorded at" in capsys.readouterr().out
-        assert main(["perf", "diff", "0", "-1", "--history", history]) == 0
         out = capsys.readouterr().out
-        assert "perf diff" in out and "tiny" in out
-        assert main(["perf", "trend", "cycles", "--history", history]) == 0
-        assert "tiny" in capsys.readouterr().out
+        assert "recorded at" in out and "bbbb222-dirty" in out
+        assert main(["perf", "diff", "aaaa", "bbbb", "--history", history]) == 0
+        out = capsys.readouterr().out
+        assert "perf diff" in out and "latency_p99_ms" in out
+        assert main(["perf", "trend", "throughput_ops_s", "--history", history]) == 0
+        assert "fig17" in capsys.readouterr().out
 
     def test_perf_diff_bad_rev_fails_cleanly(self, tmp_path, capsys):
         history = str(tmp_path / "hist.jsonl")
         assert main(["perf", "diff", "0", "1", "--history", history]) == 2
         assert "empty" in capsys.readouterr().err
+        append_entry(history, entries("aaaa111")[0])
+        assert main(["perf", "diff", "0", "cccc", "--history", history]) == 2
+        assert "no ledger entry with revision prefix 'cccc'" in capsys.readouterr().err
 
     def test_perf_list_empty_ledger(self, tmp_path, capsys):
         history = str(tmp_path / "hist.jsonl")
         assert main(["perf", "list", "--history", history]) == 0
-        assert "empty" in capsys.readouterr().out
+        assert capsys.readouterr().out.strip() == EMPTY

@@ -348,26 +348,8 @@ class TestLoadgen:
         assert speedup is not None and speedup > 1.0
         assert report.server["store"]["hits"] > 0
 
-    def test_report_feeds_perf_history(self, tmp_path, sock):
-        from repro.obs.history import append_entry, load_history
-        from repro.service import report_entry, run_loadgen
-
-        with ServiceThread(sock, workers=1):
-            report = run_loadgen(
-                sock, requests=6, concurrency=2, corpus={"tiny": SOURCE}
-            )
-        entry = report_entry(report, note="unit test")
-        assert entry["config"]["suite"] == "service-loadgen"
-        phases = entry["benchmarks"]["service"]["optimize"]["phases"]
-        assert "latency_p50" in phases and "latency_warm_p50" in phases
-        ledger = str(tmp_path / "PERF_HISTORY.jsonl")
-        append_entry(ledger, entry)
-        loaded = load_history(ledger)
-        assert len(loaded) == 1
-        assert loaded[0]["config_key"] == entry["config_key"]
-
     def test_loadgen_cli_self_host(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # the ledger lands in cwd
+        monkeypatch.chdir(tmp_path)
         out_json = str(tmp_path / "report.json")
         code = main(
             [
@@ -376,10 +358,11 @@ class TestLoadgen:
                 "--requests", "12",
                 "--concurrency", "3",
                 "--json", out_json,
-                "--no-record",
             ]
         )
         assert code == 0
+        # The report is the only file the run writes.
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["report.json"]
         rendered = capsys.readouterr().out
         assert "errors: 0" in rendered
         assert "p50" in rendered and "p99" in rendered

@@ -43,8 +43,8 @@ class TestAddressing:
         assert fields == {"kind", "source_key", "config_key"}
 
     def test_config_key_matches_session_memo_key(self):
-        # One canonical hashing scheme across the store, Session
-        # memoization, and the perf-history ledger.
+        # One canonical hashing scheme across the store and Session
+        # memoization.
         config = CompileConfig(inline=False, max_rounds=2)
         assert _key(config=config).config_key == config.content_key()
 

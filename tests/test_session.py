@@ -1,4 +1,4 @@
-"""The :class:`repro.Session` facade and the bench baseline gate."""
+"""The :class:`repro.Session` facade and :class:`repro.CompileConfig`."""
 
 import json
 from types import SimpleNamespace
@@ -10,13 +10,6 @@ from repro import CompileConfig, Session, SessionPool
 from repro.analysis import AnalysisConfig
 from repro.ir import compile_source
 from repro.runtime import run_program
-from repro.bench.baseline import (
-    MIN_SECONDS,
-    NOISE_FLOOR_SECONDS,
-    check_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.cli import main
 
 SOURCE = """
@@ -115,11 +108,13 @@ class TestCompileConfig:
             == CompileConfig(analysis=AnalysisConfig()).content_key()
         )
 
-    def test_content_key_matches_ledger_hashing(self):
-        from repro.obs.history import config_key
-
-        config = CompileConfig(max_rounds=2)
-        assert config.content_key() == config_key(config.to_dict())
+    def test_content_key_is_stable(self):
+        # Recorded before the key's hashing moved into CompileConfig: the
+        # service's artifact-store keys must not change.
+        assert CompileConfig().content_key() == "0ea9c80fe398f2c8"
+        assert CompileConfig().resolved().content_key() == "f1b29119b12802be"
+        assert CompileConfig(inline=False).content_key() == "c32ba993c0cffa10"
+        assert CompileConfig(inline=True, max_rounds=3).content_key() == "d4a057b1f87286ae"
 
     def test_for_build(self):
         assert CompileConfig.for_build("noinline").inline is False
@@ -234,134 +229,6 @@ class TestClassicWrappers:
             assert warning.filename == __file__, (
                 f"{warning.message} attributed to {warning.filename}"
             )
-
-
-def _stub_runs(analyze_s=0.100, transform_s=0.050, builds=("inline",)):
-    return {
-        "bench": SimpleNamespace(
-            builds={
-                build: SimpleNamespace(
-                    phase_seconds={"analyze": analyze_s, "transform": transform_s}
-                )
-                for build in builds
-            }
-        )
-    }
-
-
-class TestBaselineGate:
-    def test_roundtrip_and_pass(self, tmp_path):
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs())
-        baseline = load_baseline(path)
-        assert check_baseline(_stub_runs(), baseline) == []
-
-    def test_regression_beyond_tolerance_fails(self, tmp_path):
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs(analyze_s=0.100))
-        regressions = check_baseline(
-            _stub_runs(analyze_s=0.140), load_baseline(path)
-        )
-        assert len(regressions) == 1
-        assert "bench/inline/analyze" in regressions[0]
-
-    def test_growth_within_tolerance_passes(self, tmp_path):
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs(analyze_s=0.100))
-        assert not check_baseline(
-            _stub_runs(analyze_s=0.125), load_baseline(path)
-        )
-
-    def test_small_baseline_has_jitter_headroom(self, tmp_path):
-        # A phase baselined below MIN_SECONDS may jitter up to the
-        # MIN_SECONDS-clamped gate without failing ...
-        fast = MIN_SECONDS / 2
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs(transform_s=fast))
-        regressions = check_baseline(
-            _stub_runs(transform_s=fast * 2), load_baseline(path)
-        )
-        assert not any("transform" in line for line in regressions)
-
-    def test_small_baseline_still_gates_blowup(self, tmp_path):
-        # ... but a blowup to hundreds of ms is a regression, not noise
-        # (before the fix, any sub-MIN_SECONDS baseline was exempt forever).
-        fast = MIN_SECONDS / 2
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs(transform_s=fast))
-        regressions = check_baseline(
-            _stub_runs(transform_s=fast * 100), load_baseline(path)
-        )
-        assert any("bench/inline/transform" in line for line in regressions)
-
-    def test_growth_below_noise_floor_passes(self, tmp_path):
-        # Beyond the relative gate but under the absolute noise floor.
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs(transform_s=0.002))
-        assert not check_baseline(
-            _stub_runs(transform_s=NOISE_FLOOR_SECONDS * 0.6),
-            load_baseline(path),
-        )
-
-    def test_missing_benchmark_is_drift_failure(self, tmp_path):
-        # Before the fix a vanished benchmark silently passed forever.
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs())
-        failures = check_baseline({}, load_baseline(path))
-        assert len(failures) == 1
-        assert "bench" in failures[0]
-        assert "--update-baseline" in failures[0]
-
-    def test_missing_build_is_drift_failure(self, tmp_path):
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs(builds=("inline", "manual")))
-        failures = check_baseline(_stub_runs(builds=("inline",)), load_baseline(path))
-        assert len(failures) == 1
-        assert "bench/manual" in failures[0]
-        assert "--update-baseline" in failures[0]
-
-    def test_missing_phase_is_drift_failure(self, tmp_path):
-        # e.g. a span rename: the old name would default to actual=0.0
-        # and pass forever before the fix.
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs())
-        measured = _stub_runs()
-        del measured["bench"].builds["inline"].phase_seconds["transform"]
-        failures = check_baseline(measured, load_baseline(path))
-        assert len(failures) == 1
-        assert "bench/inline/transform" in failures[0]
-        assert "--update-baseline" in failures[0]
-
-    def test_new_unbaselined_phase_ignored(self, tmp_path):
-        path = str(tmp_path / "base.json")
-        write_baseline(path, _stub_runs())
-        measured = _stub_runs()
-        measured["bench"].builds["inline"].phase_seconds["brand.new"] = 9.9
-        assert check_baseline(measured, load_baseline(path)) == []
-
-
-class TestCLIBaselineFlags:
-    @pytest.fixture()
-    def patched_suite(self, monkeypatch):
-        state = {"runs": _stub_runs()}
-        monkeypatch.setattr(
-            "repro.cli.run_performance_suite",
-            lambda tracer=None, jobs=1, locality=False: state["runs"],
-        )
-        return state
-
-    def test_update_then_check(self, patched_suite, tmp_path, capsys):
-        path = str(tmp_path / "base.json")
-        assert main(["bench", "--update-baseline", "--baseline", path]) == 0
-        assert main(["bench", "--check-baseline", "--baseline", path]) == 0
-        assert "within tolerance" in capsys.readouterr().out
-
-    def test_check_fails_on_regression(self, patched_suite, tmp_path, capsys):
-        path = str(tmp_path / "base.json")
-        assert main(["bench", "--update-baseline", "--baseline", path]) == 0
-        patched_suite["runs"] = _stub_runs(analyze_s=0.200)
-        assert main(["bench", "--check-baseline", "--baseline", path]) == 1
-        assert "regression" in capsys.readouterr().out
 
 
 class TestCLIWideningReport:

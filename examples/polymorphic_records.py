@@ -10,7 +10,7 @@ and inlines each record independently, which is the paper's flagship
 Run:  python examples/polymorphic_records.py
 """
 
-from repro import compile_source, optimize, run_program
+from repro import CompileConfig, Session
 
 SOURCE = """
 class TimerRec {
@@ -65,10 +65,10 @@ def main() {
 
 
 def main() -> None:
-    program = compile_source(SOURCE, "polymorphic_records.icc")
-    base = run_program(program)
-    report = optimize(program)
-    optimized = run_program(report.program)
+    session = Session(SOURCE, path="polymorphic_records.icc")
+    base = session.run("plain")
+    report = session.optimize(CompileConfig(inline=True))
+    optimized = session.run("inline")
     assert optimized.output == base.output
 
     print("output:", base.output[0])

@@ -45,10 +45,11 @@ class AnalysisConfig:
     max_object_contours_per_site: int = 32
     max_local_passes: int = 30
     max_worklist_steps: int = 600_000
-    #: Dependency-tracked evaluation: skip clean worklist pops, re-evaluate
-    #: warm from cached registers, and record facts only for contours whose
-    #: last recording is stale.  ``False`` selects the from-scratch
-    #: reference mode the differential tests compare against.
+    #: Local passes after the first re-run only instructions whose input
+    #: registers changed, and fact recording replays one sweep over each
+    #: contour's cached fixpoint registers.  ``False`` runs every pass in
+    #: full and re-derives the registers before recording: the
+    #: from-scratch reference the differential tests compare against.
     incremental: bool = True
 
     def with_sensitivity(self, sensitivity: str) -> "AnalysisConfig":
@@ -72,11 +73,6 @@ class MethodContour:
     #: signature revives them — id stability keeps the fixpoint monotone)
     #: but do not count against the widening caps.
     retired: bool = False
-    #: Version stamps (the engine's global clock) of the last growth of
-    #: ``arg_values`` / ``ret``; the staleness check compares these against
-    #: a dependent contour's last-evaluation stamp.
-    args_version: int = 0
-    ret_version: int = 0
 
     def join_args(self, args: list[AbstractVal]) -> bool:
         """Join ``args`` into the contour; True if anything grew."""
@@ -134,8 +130,8 @@ class ContourManager:
         self.gc_hook = None
         #: Set by the analysis engine: called as ``widen_hook(summary,
         #: dependents)`` when widening folds existing contours into a fresh
-        #: summary, so the engine can stamp the absorbed growth and
-        #: re-enqueue the contours that saw the narrower pre-summary state.
+        #: summary, so the engine can re-enqueue the contours that saw the
+        #: narrower pre-summary state.
         self.widen_hook = None
 
     def remove_method_contour(self, contour_id: int) -> None:

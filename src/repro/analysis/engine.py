@@ -13,31 +13,27 @@ builds on (§3.2.1) together with the tag analysis of §4.1:
 The analysis is flow-insensitive inside a contour (registers accumulate
 joins) and runs a global worklist to a fixpoint.
 
-The engine is **incremental and dependency-tracked** (see
-docs/ANALYSIS.md).  Every lattice cell a contour evaluation reads — a
-field slot, a global, a callee contour's return value, the contour's own
-argument tuple — is stamped with a monotonically increasing *version*
-when it grows, and every evaluation records exactly which cells it read.
-That dependency graph drives three optimizations:
+A contour is re-evaluated whenever a cell it has read grows — a field
+slot, a global, a callee contour's return value, its own argument tuple:
+reverse reader maps (``_slot_readers``, ``_global_readers``,
+``MethodContour.callers``) enqueue every reader of a growing cell.  Two
+exact optimizations cut the transfer-function calls (see
+docs/ANALYSIS.md):
 
-- a worklist pop whose dependency versions are all unchanged since the
-  contour's last evaluation is skipped outright (skipping is exact: an
-  unchanged-input evaluation is deterministic and replays precisely the
-  effects of the previous one);
 - within an evaluation, local passes after the first only re-run
   instructions with an input register that changed in the previous pass
   (an unchanged-input transfer is a no-op at joined state);
 - the final *recording* pass, which snapshots per-instruction facts
   (operand values, resolved call edges, allocated contours, store and
   identity-comparison sites) into an
-  :class:`~repro.analysis.results.AnalysisResult`, replays a single
-  sweep over the cached fixpoint registers instead of re-running every
-  contour's local passes from scratch, and skips contours whose facts
-  were already recorded at their current version.
+  :class:`~repro.analysis.results.AnalysisResult`, replays one sweep
+  over each contour's cached fixpoint registers instead of re-running
+  its local passes from scratch.
 
-``AnalysisConfig(incremental=False)`` disables all three and evaluates
-every pop cold — the from-scratch reference used by the differential
-tests, which must produce bit-identical results.
+``AnalysisConfig(incremental=False)`` disables both — the from-scratch
+reference used by the differential tests, which must produce
+bit-identical results.  The ``analysis.transfers`` counter shows what
+they save.
 """
 
 from __future__ import annotations
@@ -134,29 +130,8 @@ class FlowAnalysis:
         self._last_gc_step = -10_000
         self.manager.gc_hook = self._gc_stale_contours
         self.manager.widen_hook = self._on_widened
-        # Version stamps: one global monotone clock; every lattice cell
-        # (slot / global / contour ret / contour args) records the clock
-        # value of its last growth.
-        self._version = 0
-        self._slot_version: dict[Slot, int] = {}
-        self._global_version: dict[str, int] = {}
-        # Per-contour dependency sets, rebuilt on every evaluation; the
-        # reverse maps (_slot_readers / _global_readers / contour.callers)
-        # stay append-only supersets, which is sound (at worst a spurious
-        # enqueue that the staleness check then skips).
-        self._dep_slots: dict[int, set[Slot]] = {}
-        self._dep_globals: dict[int, set[str]] = {}
-        self._dep_callees: dict[int, set[int]] = {}
-        #: contour id -> clock value at the end of its last clean evaluation.
-        self._eval_version: dict[int, int] = {}
-        #: Contours that must re-evaluate regardless of cell versions:
-        #: widening rebinds their call/allocation sites to a summary
-        #: contour, a change no versioned cell captures.
-        self._force_stale: set[int] = set()
         #: contour id -> converged registers of the last evaluation.
         self._cached_regs: dict[int, list[AbstractVal]] = {}
-        #: contour id -> _eval_version at which its facts were recorded.
-        self._recorded_version: dict[int, int] = {}
         #: callable name -> [(instr, source regs)] with CFG-only
         #: instructions (Jump/Branch — no dataflow effect) filtered out.
         self._instr_cache: dict[str, list[tuple[ir.Instr, tuple[int, ...]]]] = {}
@@ -167,8 +142,7 @@ class FlowAnalysis:
         #: Contour whose reads (slots, gate head slots) are being tracked.
         self._reader: int | None = None
         self._evals = 0
-        self._eval_skips = 0
-        self._record_skips = 0
+        self._transfers = 0
         # Recording-pass outputs, keyed per contour so a re-record
         # replaces (never duplicates) that contour's entries.
         self._facts: dict[tuple[int, int], dict[str, object]] = {}
@@ -187,7 +161,6 @@ class FlowAnalysis:
             contour, _ = self.manager.get_method_contour(entry, [], is_method=False)
             self._enqueue(contour.id)
 
-        incremental = self.config.incremental
         with self.tracer.span("analysis.fixpoint"):
             while self._worklist:
                 self._steps += 1
@@ -200,9 +173,6 @@ class FlowAnalysis:
                 contour = self.manager.method_contours.get(contour_id)
                 if contour is None:
                     continue  # retired by GC while queued
-                if incremental and not self._contour_stale(contour):
-                    self._eval_skips += 1
-                    continue
                 self._evaluate(contour)
 
         # Drop contours left stale by signature growth (a call site whose
@@ -219,8 +189,7 @@ class FlowAnalysis:
         tracer = self.tracer
         tracer.count("analysis.worklist_steps", self._steps)
         tracer.count("analysis.evals", self._evals)
-        tracer.count("analysis.eval_skips", self._eval_skips)
-        tracer.count("analysis.record_skips", self._record_skips)
+        tracer.count("analysis.transfers", self._transfers)
         tracer.count("analysis.method_contours_created", self.manager.created_method_contours)
         tracer.count("analysis.object_contours_created", self.manager.created_object_contours)
         tracer.count("analysis.method_contours_live", self.manager.method_contour_count())
@@ -271,22 +240,17 @@ class FlowAnalysis:
 
         The absorbed argument/return knowledge grew without flowing
         through the normal transfer functions, and future contour lookups
-        now rebind to the summary — a change no versioned cell captures.
-        Stamp the summary and force-re-evaluate everything that bound the
-        pre-widening contours; otherwise a dependent could be skipped as
-        "clean" while still holding the narrower pre-summary bindings.
+        now rebind to the summary — a change no cell growth announces.
+        Re-enqueue everything that bound the pre-widening contours so it
+        rebinds to the summary.
         """
-        version = self._bump()
         if isinstance(summary, MethodContour):
-            summary.args_version = version
-            summary.ret_version = version
             dependents = {caller_id for caller_id, _site in callers}
         else:
             # Object-contour widening: the creator contours must rebind
             # their allocation results to the summary contour.
             dependents = set(callers)
         for contour_id in dependents:
-            self._force_stale.add(contour_id)
             self._enqueue(contour_id)
 
     def _reachable_contours(self) -> set[int]:
@@ -315,11 +279,6 @@ class FlowAnalysis:
             self.call_edges.pop(contour_id, None)
             self.allocations.pop(contour_id, None)
             self._cached_regs.pop(contour_id, None)
-            self._eval_version.pop(contour_id, None)
-            self._force_stale.discard(contour_id)
-            self._dep_slots.pop(contour_id, None)
-            self._dep_globals.pop(contour_id, None)
-            self._dep_callees.pop(contour_id, None)
         # Scrub dead callers so downstream caller walks see live edges only.
         for contour in self.manager.method_contours.values():
             contour.callers = {
@@ -328,10 +287,6 @@ class FlowAnalysis:
 
     # ------------------------------------------------------------------
     # Worklist and dependency plumbing.
-
-    def _bump(self) -> int:
-        self._version += 1
-        return self._version
 
     def _enqueue(self, contour_id: int) -> None:
         if contour_id == self._current_cid:
@@ -342,29 +297,6 @@ class FlowAnalysis:
         if contour_id not in self._in_worklist:
             self._in_worklist.add(contour_id)
             self._worklist.append(contour_id)
-
-    def _contour_stale(self, contour: MethodContour) -> bool:
-        """Whether any cell this contour read has grown since its last
-        evaluation (always true if it was never evaluated)."""
-        if contour.id in self._force_stale:
-            return True
-        at = self._eval_version.get(contour.id)
-        if at is None or contour.args_version > at:
-            return True
-        slot_version = self._slot_version
-        for slot in self._dep_slots.get(contour.id, ()):
-            if slot_version.get(slot, 0) > at:
-                return True
-        global_version = self._global_version
-        for name in self._dep_globals.get(contour.id, ()):
-            if global_version.get(name, 0) > at:
-                return True
-        contours = self.manager.method_contours
-        for callee_id in self._dep_callees.get(contour.id, ()):
-            callee = contours.get(callee_id)
-            if callee is None or callee.ret_version > at:
-                return True
-        return False
 
     def _gate(self, value: AbstractVal) -> AbstractVal:
         """Drop tags whose head slot's contents cannot be this value.
@@ -386,7 +318,6 @@ class FlowAnalysis:
             head_slot = tag[0]
             if reader is not None:
                 self._slot_readers.setdefault(head_slot, set()).add(reader)
-                self._dep_slots.setdefault(reader, set()).add(head_slot)
             contents = self.slots.get(head_slot, BOTTOM)
             if contents.atoms & value.atoms:
                 kept.add(tag)
@@ -396,7 +327,6 @@ class FlowAnalysis:
 
     def _read_slot(self, slot: Slot, reader: int) -> AbstractVal:
         self._slot_readers.setdefault(slot, set()).add(reader)
-        self._dep_slots.setdefault(reader, set()).add(slot)
         return self.slots.get(slot, BOTTOM)
 
     def _write_slot(self, slot: Slot, value: AbstractVal) -> None:
@@ -405,7 +335,6 @@ class FlowAnalysis:
         merged = join(old, value)
         if merged != old:
             self.slots[slot] = merged
-            self._slot_version[slot] = self._bump()
             for reader in self._slot_readers.get(slot, ()):
                 self._enqueue(reader)
 
@@ -430,7 +359,6 @@ class FlowAnalysis:
             return
         cid = contour.id
         self._evals += 1
-        self._force_stale.discard(cid)
         incremental = self.config.incremental
 
         # Always evaluate cold from the contour's argument values.  (A warm
@@ -445,10 +373,6 @@ class FlowAnalysis:
                 regs[index] = value
         state = _EvalState(regs=regs)
 
-        # Rebuild the forward dependency sets and call edges from scratch.
-        self._dep_slots[cid] = set()
-        self._dep_globals[cid] = set()
-        self._dep_callees[cid] = set()
         self.call_edges[cid] = {}
         self.allocations.setdefault(cid, {})
 
@@ -491,11 +415,8 @@ class FlowAnalysis:
             self._reader = None
 
         self._cached_regs[cid] = regs
-        if converged:
-            self._eval_version[cid] = self._version
-        else:
-            # Local pass cap hit with work pending: stay stale + queued.
-            self._eval_version.pop(cid, None)
+        if not converged:
+            # Local pass cap hit with work pending: evaluate again later.
             self._enqueue(cid)
 
     def _record_contour(self, contour: MethodContour) -> None:
@@ -509,12 +430,8 @@ class FlowAnalysis:
         if self.config.incremental:
             cached = self._cached_regs.get(cid)
             if cached is None or len(cached) != callable_.num_regs:
-                self._evaluate(contour)  # revived without a clean eval
+                self._evaluate(contour)  # never evaluated
                 cached = self._cached_regs.get(cid, [])
-            at = self._eval_version.get(cid)
-            if at is not None and self._recorded_version.get(cid) == at:
-                self._record_skips += 1
-                return
             regs = list(cached)
             if len(regs) < callable_.num_regs:
                 regs.extend([BOTTOM] * (callable_.num_regs - len(regs)))
@@ -546,9 +463,6 @@ class FlowAnalysis:
                 self._transfer(contour, instr, state)
         finally:
             self._reader = None
-        at = self._eval_version.get(cid)
-        if at is not None:
-            self._recorded_version[cid] = at
 
     def _set_reg(self, state: _EvalState, reg: int, value: AbstractVal) -> None:
         merged = join(state.regs[reg], value)
@@ -564,6 +478,7 @@ class FlowAnalysis:
     # Transfer functions.
 
     def _transfer(self, contour: MethodContour, instr: ir.Instr, state: _EvalState) -> None:
+        self._transfers += 1
         regs = state.regs
         kind = type(instr)
 
@@ -602,7 +517,6 @@ class FlowAnalysis:
             self._set_reg(state, instr.dest, AbstractVal(result_kinds, frozenset()))
         elif kind is ir.GetGlobal:
             self._global_readers.setdefault(instr.name, set()).add(contour.id)
-            self._dep_globals.setdefault(contour.id, set()).add(instr.name)
             self._set_reg(state, instr.dest, self.global_values[instr.name])
         elif kind is ir.SetGlobal:
             value = self._gate(regs[instr.src])
@@ -610,7 +524,6 @@ class FlowAnalysis:
             merged = join(old, value)
             if merged != old:
                 self.global_values[instr.name] = merged
-                self._global_version[instr.name] = self._bump()
                 for reader in self._global_readers.get(instr.name, ()):
                     self._enqueue(reader)
             if state.record:
@@ -623,7 +536,6 @@ class FlowAnalysis:
             merged = join(contour.ret, value)
             if merged != contour.ret:
                 contour.ret = merged
-                contour.ret_version = self._bump()
                 for caller_id, _site in contour.callers:
                     self._enqueue(caller_id)
         elif kind is ir.MakeView:
@@ -831,13 +743,9 @@ class FlowAnalysis:
         callee_contour, created = self.manager.get_method_contour(
             callee_name, gated, callee.is_method
         )
-        grew = callee_contour.join_args(gated)
-        if grew:
-            callee_contour.args_version = self._bump()
-        if created or grew:
+        if callee_contour.join_args(gated) or created:
             self._enqueue(callee_contour.id)
         callee_contour.callers.add((contour.id, site_uid))
-        self._dep_callees.setdefault(contour.id, set()).add(callee_contour.id)
         self.call_edges.setdefault(contour.id, {}).setdefault(site_uid, set()).add(
             callee_contour.id
         )

@@ -64,9 +64,8 @@ PERFORMANCE_PROGRAMS: dict[str, str] = {
 
 #: Compile-phase span names surfaced as per-build timing breakdowns.
 #: ``analysis.fixpoint``/``analysis.record`` are sub-spans of ``analyze``
-#: (the worklist iteration and the fact-recording sweep), broken out
-#: because they dominate compile time and are the incremental engine's
-#: target (ROADMAP).
+#: (the worklist iteration and the fact-recording sweep), broken out so
+#: a timing shows which of the two an analysis change moved.
 PHASE_NAMES = (
     "analyze",
     "analysis.fixpoint",

@@ -251,7 +251,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     try:
         session = _make_session(args, tracer)
-        report = session.optimize(inline=True)
+        report = session.optimize()
     finally:
         tracer.close()
     if args.json:

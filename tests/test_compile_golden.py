@@ -47,7 +47,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import AnalysisCache
+from repro.analysis import AnalysisCache, AnalysisConfig
 from repro.bench import PERFORMANCE_PROGRAMS
 from repro.bench.harness import PERFORMANCE_BUILDS
 from repro.codegen import generate
@@ -166,6 +166,15 @@ def counter_changes(expected: dict, actual: dict) -> list[tuple[str, str]]:
     return changed
 
 
+def assert_same_decisions_and_code(expected: dict, actual: dict) -> None:
+    """Every pinned fact but the counters is unchanged, build by build."""
+    for build in expected["builds"]:
+        assert {**actual["builds"][build], "counters": None} == {
+            **expected["builds"][build],
+            "counters": None,
+        }
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
@@ -208,11 +217,31 @@ def test_unshared_fixpoint_is_caught(golden, monkeypatch):
     assert ("noescape", "analysis.cache_hits") in changed
     assert ("manual", "analysis.worklist_steps") in changed
     # ...and decide and emit exactly what they did before.
-    for build in PERFORMANCE_BUILDS:
-        assert {**actual["builds"][build], "counters": None} == {
-            **expected["builds"][build],
-            "counters": None,
-        }
+    assert_same_decisions_and_code(expected, actual)
+
+
+def test_from_scratch_analysis_is_caught(golden, monkeypatch):
+    """An analysis that loses its incremental work fails the golden.
+
+    Every session defaults to the from-scratch reference engine
+    (``AnalysisConfig(incremental=False)``), which reaches the same
+    fixpoint through more transfer-function calls: only
+    ``analysis.transfers`` moves, on the two builds that run the
+    fixpoint.
+    """
+    init = Session.__init__
+
+    def from_scratch(self, *args, config=None, **kwargs):
+        init(self, *args, config=config or AnalysisConfig(incremental=False), **kwargs)
+
+    monkeypatch.setattr(Session, "__init__", from_scratch)
+    expected = golden["figure17"]["richards"]
+    actual = figure17_record("richards")
+    changed = counter_changes(expected, actual)
+    assert sorted(changed) == [("inline", "analysis.transfers"), ("noinline", "analysis.transfers")]
+    for build, name in changed:
+        assert actual["builds"][build]["counters"][name] > expected["builds"][build]["counters"][name]
+    assert_same_decisions_and_code(expected, actual)
 
 
 if __name__ == "__main__":

@@ -441,7 +441,7 @@ class TestFrameSoundnessPublicAPI:
         pipeline_module.apply_escape_optimization = sabotaged
         try:
             session = Session(self.RECURSIVE_SOURCE)
-            report = session.optimize(inline=True)
+            report = session.optimize(CompileConfig(inline=True))
             result = session.run("inline")
         finally:
             pipeline_module.apply_escape_optimization = original

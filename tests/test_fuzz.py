@@ -204,7 +204,7 @@ class TestSeededBugs:
         sink = MemorySink()
         with seeded_bug(bug):
             session = Session(SEEDED_SOURCE, tracer=Tracer(sink))
-            report = session.optimize(inline=True)
+            report = session.optimize(BUILD_CONFIGS["inline"])
             output = session.run("inline").output
         assert output == base
         assert report.degraded_stages, "the bracket must record the failure"

@@ -1,22 +1,25 @@
-"""The incremental dependency-tracked analysis engine.
+"""The analysis engine's incremental mode and its invalidation.
 
-Differential tests prove the incremental engine (clean-pop skipping,
-dirty-register local passes, single-sweep fact recording) produces
-results bit-identical to the from-scratch reference
-(``AnalysisConfig(incremental=False)``) on every benchmark program, and
-targeted unit tests pin the dependency-invalidation machinery: slot
-writes, signature growth, and contour GC.
+Differential tests prove the incremental engine (dirty-register local
+passes, fact recording replayed from the cached fixpoint registers)
+produces results bit-identical to the from-scratch reference
+(``AnalysisConfig(incremental=False)``) on every benchmark program.
+Targeted unit tests pin what both modes share: growth of a slot, a
+global, a signature or a return value enqueues every contour that read
+it, and contour GC scrubs the engine's tables.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis import AnalysisCache, AnalysisConfig, analyze
-from repro.analysis.engine import FlowAnalysis
+from repro.analysis import SENSITIVITY_CONCERT, AnalysisCache, AnalysisConfig, analyze
+from repro.analysis.engine import FlowAnalysis, _EvalState
+from repro.analysis.tags import NOFIELD
+from repro.analysis.values import PRIM_STR, join, make_val, prim_val
 from repro.bench.programs import oopack, polyover, richards, silo
 from repro.ir import compile_source
-from repro.obs import Tracer
+from repro.ir import model as ir
 
 from conftest import RECTANGLE_SOURCE
 
@@ -80,8 +83,6 @@ class TestDifferential:
         assert_identical(RECTANGLE_SOURCE, "rectangle.icc")
 
     def test_identical_under_concert_sensitivity(self):
-        from repro.analysis import SENSITIVITY_CONCERT
-
         assert_identical(
             BENCH_SOURCES["polyover"], "polyover.icc",
             sensitivity=SENSITIVITY_CONCERT,
@@ -96,26 +97,16 @@ class TestDifferential:
             max_object_contours_per_site=2,
         )
 
-    def test_rerun_after_quiescence_skips_clean_contours(self):
-        # With complete dependency tracking a first run rarely pops a clean
-        # contour (enqueues only happen on growth), but re-running a
-        # quiescent engine is pure skip: the entry contours pop clean and
-        # every record pass hits its dirty bit.
-        program = compile_source(BENCH_SOURCES["richards"], "richards.icc")
-        flow = FlowAnalysis(program, AnalysisConfig(incremental=True))
-        first = result_snapshot(flow.run())
-        evals_before = flow._evals
-        second = result_snapshot(flow.run())
-        assert flow._evals == evals_before
-        assert flow._eval_skips >= 2  # @global_init and main popped clean
-        assert flow._record_skips >= len(flow.manager.method_contours)
-        assert second == first
-
-    def test_from_scratch_never_skips(self):
-        program = compile_source(BENCH_SOURCES["oopack"], "oopack.icc")
-        tracer = Tracer()
-        analyze(program, AnalysisConfig(incremental=False), tracer)
-        assert tracer.counters.get("analysis.eval_skips", 0) == 0
+    def test_identical_under_a_binding_local_pass_cap(self):
+        # At two local passes some silo contours stop with work pending
+        # and re-enqueue themselves; both modes must still agree.
+        assert_identical(BENCH_SOURCES["silo"], "silo.icc", max_local_passes=2)
+        program = compile_source(BENCH_SOURCES["silo"], "silo.icc")
+        capped = FlowAnalysis(program, AnalysisConfig(max_local_passes=2))
+        capped.run()
+        uncapped = FlowAnalysis(program, AnalysisConfig())
+        uncapped.run()
+        assert capped._steps > uncapped._steps  # the cap binds
 
 
 SLOT_DEP_SOURCE = """
@@ -145,57 +136,102 @@ def _contour_named(flow: FlowAnalysis, name: str):
     return matches[0]
 
 
+def _instr(flow: FlowAnalysis, contour, kind):
+    """The first ``kind`` instruction of ``contour``'s callable."""
+    callable_ = flow.program.lookup_callable(contour.callable_name)
+    return next(instr for instr in callable_.instructions() if isinstance(instr, kind))
+
+
+def _replay(flow: FlowAnalysis, contour, instr, reg: int, value) -> None:
+    """Re-run one instruction of ``contour`` at its converged registers,
+    with register ``reg`` grown by ``value``."""
+    regs = list(flow._cached_regs[contour.id])
+    regs[reg] = join(regs[reg], value)
+    flow._transfer(contour, instr, _EvalState(regs=regs))
+
+
+GLOBAL_DEP_SOURCE = """
+var counter;
+def bump() { counter = counter + 1; return counter; }
+def main() { counter = 0; print(bump()); }
+"""
+
+
 class TestDependencyInvalidation:
+    """Growth of a cell enqueues every contour that read it.
+
+    Enqueueing runs through the reverse reader maps (``_slot_readers``,
+    ``_global_readers``, ``MethodContour.callers``), which both modes
+    share, so a lost enqueue can leave both equally wrong and pass the
+    differentials.  Each test runs to the fixpoint, grows one cell
+    through the instruction that writes it, and looks in the worklist.
+    """
+
     def test_slot_read_registers_dependency(self):
         flow = _run_flow(SLOT_DEP_SOURCE)
         reader = _contour_named(flow, "reader")
-        slots = flow._dep_slots[reader.id]
-        assert any(field == "item" for _cid, field in slots)
-        for slot in slots:
-            assert reader.id in flow._slot_readers[slot]
+        read = [slot for slot, readers in flow._slot_readers.items() if reader.id in readers]
+        assert [field for _cid, field in read] == ["item"]
 
     def test_slot_write_marks_reader_stale(self):
         flow = _run_flow(SLOT_DEP_SOURCE)
+        main = _contour_named(flow, "main")
         reader = _contour_named(flow, "reader")
-        assert not flow._contour_stale(reader)
-        slot = next(s for s in flow._dep_slots[reader.id] if s[1] == "item")
-        flow._slot_version[slot] = flow._bump()
-        assert flow._contour_stale(reader)
+        assert not flow._in_worklist
+        store = _instr(flow, main, ir.SetField)
+        _replay(flow, main, store, store.src, prim_val(PRIM_STR))
+        slot = next(s for s in flow._slot_readers if s[1] == "item")
+        assert PRIM_STR in flow.slots[slot].atoms
+        assert flow._in_worklist == flow._slot_readers[slot] == {reader.id}
 
-    def test_signature_growth_marks_contour_stale(self):
-        flow = _run_flow(SLOT_DEP_SOURCE)
+    def test_signature_growth_marks_callee_stale(self):
+        # Concert sensitivity keys a function's arguments by class, so a
+        # second Box contour joins into reader's one contour.
+        flow = _run_flow(SLOT_DEP_SOURCE, sensitivity=SENSITIVITY_CONCERT)
+        main = _contour_named(flow, "main")
         reader = _contour_named(flow, "reader")
-        assert not flow._contour_stale(reader)
-        reader.args_version = flow._bump()
-        assert flow._contour_stale(reader)
+        box, _created = flow.manager.get_object_contour("Box", -1, main.id)
+        call = _instr(flow, main, ir.CallFunction)
+        _replay(flow, main, call, call.args[0], make_val({box.id}, {NOFIELD}))
+        assert box.id in reader.arg_values[0].atoms
+        assert flow._in_worklist == {reader.id}
 
     def test_callee_return_growth_marks_caller_stale(self):
         flow = _run_flow(SLOT_DEP_SOURCE)
         main = _contour_named(flow, "main")
         reader = _contour_named(flow, "reader")
-        assert reader.id in flow._dep_callees[main.id]
-        assert not flow._contour_stale(main)
-        reader.ret_version = flow._bump()
-        assert flow._contour_stale(main)
+        assert {caller for caller, _site in reader.callers} == {main.id}
+        ret = _instr(flow, reader, ir.Return)
+        _replay(flow, reader, ret, ret.src, prim_val(PRIM_STR))
+        assert PRIM_STR in reader.ret.atoms
+        assert flow._in_worklist == {main.id}
 
     def test_global_read_registers_dependency(self):
-        source = """
-        var counter;
-        def bump() { counter = counter + 1; return counter; }
-        def main() { counter = 0; print(bump()); }
-        """
-        flow = _run_flow(source)
-        bump = _contour_named(flow, "bump")
-        assert "counter" in flow._dep_globals[bump.id]
-        flow._global_version["counter"] = flow._bump()
-        assert flow._contour_stale(bump)
-
-    def test_missing_callee_counts_as_stale(self):
-        flow = _run_flow(SLOT_DEP_SOURCE)
+        flow = _run_flow(GLOBAL_DEP_SOURCE)
         main = _contour_named(flow, "main")
-        callee_id = next(iter(flow._dep_callees[main.id]))
-        del flow.manager.method_contours[callee_id]
-        assert flow._contour_stale(main)
+        bump = _contour_named(flow, "bump")
+        assert flow._global_readers["counter"] == {bump.id}
+        store = _instr(flow, main, ir.SetGlobal)
+        _replay(flow, main, store, store.src, prim_val(PRIM_STR))
+        assert PRIM_STR in flow.global_values["counter"].atoms
+        assert flow._in_worklist == {bump.id}
+
+    def test_widening_rebinds_every_caller_to_the_summary(self):
+        # Widening folds a callable's contours into a summary, which no
+        # cell growth announces: the widen hook re-enqueues every caller
+        # of the folded contours, so each rebinds to the summary.
+        flow = _run_flow(
+            BENCH_SOURCES["polyover"],
+            max_method_contours_per_callable=4,
+            max_object_contours_per_site=2,
+        )
+        widened = flow.manager.widened_callables
+        assert widened
+        contours = flow.manager.method_contours
+        for sites in flow.call_edges.values():
+            for callees in sites.values():
+                for callee in (contours[cid] for cid in callees):
+                    assert callee.summary or callee.callable_name not in widened
 
     def test_contour_gc_clears_engine_state(self):
         # Polymorphic signatures leave stale narrower contours behind; the
@@ -206,11 +242,7 @@ class TestDependencyInvalidation:
         """
         flow = _run_flow(source)
         live = set(flow.manager.method_contours)
-        for table in (
-            flow._cached_regs, flow._eval_version, flow._dep_slots,
-            flow._dep_globals, flow._dep_callees, flow.call_edges,
-            flow.allocations,
-        ):
+        for table in (flow._cached_regs, flow.call_edges, flow.allocations):
             assert set(table) <= live
 
     def test_retired_revival_differential(self):
@@ -229,30 +261,26 @@ class TestDependencyInvalidation:
         assert_identical(source, "revival.icc")
 
 
-class TestRecordDirtyBit:
-    def test_second_record_pass_skips_clean_contours(self):
-        program = compile_source(SLOT_DEP_SOURCE, "test.icc")
+class TestRecordReplay:
+    def test_second_record_pass_leaves_facts_unchanged(self):
+        program = compile_source(BENCH_SOURCES["richards"], "richards.icc")
         flow = FlowAnalysis(program, AnalysisConfig())
-        result = flow.run()
-        assert flow._record_skips == 0
+        flow.run()
         before = dict(flow._facts)
         for contour in list(flow.manager.method_contours.values()):
             flow._record_contour(contour)
-        assert flow._record_skips == len(flow.manager.method_contours)
         assert flow._facts == before
-        assert result.facts == before
 
     def test_rerecord_after_growth_replaces_not_duplicates(self):
         program = compile_source(SLOT_DEP_SOURCE, "test.icc")
         flow = FlowAnalysis(program, AnalysisConfig())
         flow.run()
-        reader = _contour_named(flow, "reader")
+        main = _contour_named(flow, "main")
         stores_before = {
             cid: list(entries) for cid, entries in flow._stores.items()
         }
-        # Touch the contour so its dirty bit trips, then re-record.
-        flow._eval_version[reader.id] = flow._bump()
-        flow._record_contour(reader)
+        assert stores_before[main.id]
+        flow._record_contour(main)
         assert flow._stores == stores_before  # replaced, not appended
 
 

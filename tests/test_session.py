@@ -36,21 +36,22 @@ class TestSession:
 
     def test_optimize_memoizes_per_option_set(self):
         session = Session(SOURCE)
-        inline = session.optimize(inline=True)
-        assert session.optimize(inline=True) is inline
-        assert session.optimize(inline=False) is not inline
+        inline = session.optimize(CompileConfig(inline=True))
+        assert session.optimize(CompileConfig(inline=True)) is inline
+        assert session.optimize() is inline
+        assert session.optimize(CompileConfig(inline=False)) is not inline
 
     def test_analyze_and_optimize_share_the_fixpoint(self):
         session = Session(SOURCE)
         result = session.analyze()
-        report = session.optimize(inline=True)
+        report = session.optimize(CompileConfig(inline=True))
         assert report.analysis is result
         assert session.analysis_cache.hits >= 1
 
     def test_builds_share_the_fixpoint(self):
         session = Session(SOURCE)
-        inline = session.optimize(inline=True)
-        manual = session.optimize(manual_only=True)
+        inline = session.optimize(CompileConfig(inline=True))
+        manual = session.optimize(CompileConfig(manual_only=True))
         assert manual.analysis is inline.analysis
 
     def test_program_for_builds(self):
@@ -73,18 +74,18 @@ class TestSession:
         config = AnalysisConfig(max_local_passes=29)
         session = Session(SOURCE, config=config)
         assert session.analyze().config is config
-        assert session.optimize(inline=True).analysis.config is config
+        assert session.optimize(CompileConfig(inline=True)).analysis.config is config
 
     def test_per_call_tracer_override(self):
         from repro.obs import MemorySink, Tracer
 
         session = Session(SOURCE)
         tracer = Tracer(MemorySink())
-        report = session.optimize(tracer=tracer, inline=True)
+        report = session.optimize(CompileConfig(inline=True), tracer=tracer)
         assert "analyze" in tracer.span_totals
         assert "transform" in tracer.span_totals
-        # Memoized per option set regardless of the tracer used.
-        assert session.optimize(inline=True) is report
+        # Memoized per config regardless of the tracer used.
+        assert session.optimize(CompileConfig(inline=True)) is report
         run = session.run("inline", tracer=tracer)
         assert run.output and tracer.span_totals["run"][0] == 1
 
@@ -129,14 +130,6 @@ class TestCompileConfig:
         assert noescape.inline is True and noescape.escape_pass is False
         assert noescape.content_key() != CompileConfig(inline=True).content_key()
         assert "escape_pass" in CompileConfig().to_dict()
-
-    def test_explicit_config_and_kwargs_share_the_memo(self):
-        session = Session(SOURCE)
-        via_config = session.optimize(CompileConfig(inline=True))
-        via_kwargs = session.optimize(inline=True)
-        assert via_config is via_kwargs
-        with pytest.raises(TypeError):
-            session.optimize(CompileConfig(), inline=True)
 
     def test_session_analysis_config_resolves_into_key(self):
         custom = AnalysisConfig(max_local_passes=29)
@@ -186,49 +179,17 @@ class TestSessionPool:
 class TestClassicWrappers:
     def test_top_level_exports(self):
         for name in ("Session", "SessionPool", "CompileConfig", "AnalysisCache",
-                     "source_key", "compile_source", "analyze", "optimize",
-                     "run_program"):
+                     "source_key"):
             assert name in repro.__all__
             assert hasattr(repro, name)
+        # The one-shot shims are gone; their primitives live in subpackages.
+        for name in ("compile_source", "analyze", "optimize", "run_program"):
+            assert name not in repro.__all__
+            assert not hasattr(repro, name)
 
-    def test_wrappers_warn_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="compile_source"):
-            program = repro.compile_source(SOURCE, "wrap.icc")
-        with pytest.warns(DeprecationWarning, match="analyze"):
-            result = repro.analyze(program)
-        with pytest.warns(DeprecationWarning, match="optimize"):
-            report = repro.optimize(program, inline=True)
-        assert result.facts and report.plan.candidates
-        with pytest.warns(DeprecationWarning, match="run_program"):
-            assert repro.run_program(report.program).output == ["5"]
-
-    def test_wrappers_still_match_session_results(self):
-        with pytest.warns(DeprecationWarning):
-            classic = repro.run_program(
-                repro.optimize(repro.compile_source(SOURCE), inline=True).program
-            )
-        assert classic.output == Session(SOURCE).run("inline").output
-
-    def test_warnings_point_at_the_caller(self):
-        # stacklevel=2 in each shim: the warning must carry *this* file,
-        # not session.py, so a `-W error::DeprecationWarning` traceback
-        # lands on the deprecated call site.
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            program = repro.compile_source(SOURCE, "wrap.icc")
-            repro.analyze(program)
-            report = repro.optimize(program, inline=True)
-            repro.run_program(report.program)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 4
-        for warning in deprecations:
-            assert warning.filename == __file__, (
-                f"{warning.message} attributed to {warning.filename}"
-            )
+    def test_optimize_takes_only_a_config(self):
+        with pytest.raises(TypeError):
+            Session(SOURCE).optimize(inline=True)
 
 
 class TestCLIWideningReport:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from ..analysis import AnalysisConfig
 from ..codegen import generate
-from ..inlining.pipeline import OptimizeReport
+from ..inlining.pipeline import SCALAR_STAGES, OptimizeReport
 from ..ir.model import IRProgram
 from ..obs import MemorySink, NULL_TRACER, Tracer, TraceShard
 from ..runtime import CacheConfig
@@ -72,10 +72,7 @@ PHASE_NAMES = (
     "analysis.record",
     "plan",
     "transform",
-    "opt.inline_methods",
-    "opt.escape",
-    "opt.loadcse",
-    "opt.dce",
+    *(f"opt.{stage}" for stage in SCALAR_STAGES),
 )
 
 

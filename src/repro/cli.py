@@ -439,6 +439,7 @@ def _parse_fault_plan(spec: str | None):
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run (or stop) the compile-service daemon."""
+    from .obs.metrics import digest
     from .service import ServiceClient, ServiceError, serve
 
     if args.stop:
@@ -476,10 +477,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         slo_p99=args.slo_p99,
         slo_error_rate=args.slo_error_rate,
     )
-    stats = service.describe()
+    final = digest(service.metrics.to_dict())
     print(
-        f"daemon stopped after {stats['requests']} request(s); "
-        f"store: {stats['store']['hits']} hits / {stats['store']['misses']} misses"
+        f"daemon stopped after {final.requests:.0f} request(s); "
+        f"store: {final.cache_hits:.0f} hits / {final.cache_misses:.0f} misses"
     )
     if service.run_dir:
         print(f"trace run directory: {service.run_dir}")

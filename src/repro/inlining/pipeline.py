@@ -21,7 +21,6 @@ iterative caller splitting, with rejection as the sound fallback.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..analysis import (
@@ -38,11 +37,15 @@ from ..opt.inliner import InlinerStats, inline_methods
 from ..opt.loadcse import LoadCSEStats, eliminate_redundant_loads
 from ..ir import model as ir
 from ..ir.validate import validate_program
-from ..obs.metrics import NULL_METRICS
 from ..obs.tracer import NULL_TRACER
 from .decisions import Candidate, DecisionEngine, InlinePlan
 
 MAX_REPLAN_ROUNDS = 8
+
+#: The scalar stages, in pipeline order.  Each runs in one rollback
+#: bracket of :func:`optimize` under the span ``opt.<stage>``; the bench
+#: harness and the service worker read those spans by these names.
+SCALAR_STAGES = ("inline_methods", "escape", "loadcse", "dce")
 
 
 @dataclass(slots=True)
@@ -226,7 +229,6 @@ def optimize(
     config: AnalysisConfig | None = None,
     tracer=NULL_TRACER,
     analysis_cache: AnalysisCache | None = None,
-    metrics=NULL_METRICS,
 ) -> OptimizeReport:
     """Analyze and transform ``program``; returns the new program + report.
 
@@ -252,20 +254,15 @@ def optimize(
     ``tracer`` (a :class:`repro.obs.Tracer`) times every phase (analyze /
     plan / transform / scalar passes, per replan and nested round) and
     records the full decision trace; the default no-op tracer costs
-    nothing.
+    nothing.  Its spans are the only timer: the compile service derives
+    its ``pipeline_stage_seconds`` histogram from them.
 
     ``analysis_cache`` (an :class:`repro.analysis.AnalysisCache`) memoizes
     analysis results by (program, config) across this and other
     ``optimize`` calls — e.g. the three benchmark builds of one program,
     or a :class:`repro.Session`'s repeated pipelines.
-
-    ``metrics`` (a :class:`repro.obs.metrics.MetricsRegistry`) receives
-    per-stage wall-time histograms, degradation counts, and the escape
-    pass's reject-stage totals.  The default :data:`NULL_METRICS` costs
-    nothing: all instrumentation is behind ``metrics.enabled`` guards.
     """
     config = config or AnalysisConfig()
-    optimize_started = time.perf_counter() if metrics.enabled else 0.0
     nesting = max_rounds > 1 and inline and not manual_only
     preference = "inner" if nesting else "outer"
 
@@ -323,8 +320,8 @@ def optimize(
             # leaves its analyzed program as the final one) would go stale.
             analysis_cache.discard(outcome.program)
 
-        def _bracket(stage: str, span: str, fn):
-            """Run one scalar stage in an isolated try/verify bracket.
+        def _bracket(stage: str, fn):
+            """Run one of :data:`SCALAR_STAGES` in an isolated try/verify bracket.
 
             The stage mutates ``outcome.program`` in place; on an
             exception — from the stage itself or from the IR validation
@@ -339,9 +336,8 @@ def optimize(
             """
             with tracer.span("opt.snapshot"):
                 snapshot = ir.copy_program(outcome.program)
-            stage_started = time.perf_counter() if metrics.enabled else 0.0
             try:
-                with tracer.span(span):
+                with tracer.span(f"opt.{stage}"):
                     stats = fn(outcome.program)
                 with tracer.span("opt.validate"):
                     validate_program(outcome.program)
@@ -355,29 +351,13 @@ def optimize(
                 degraded_stages.append(record)
                 tracer.event("stage.degraded", **record)
                 tracer.count("pipeline.stage_degraded")
-                if metrics.enabled:
-                    metrics.counter(
-                        "pipeline_stage_degraded_total",
-                        "Scalar stages rolled back after a failure",
-                        labels=("stage",),
-                    ).labels(stage=stage).inc()
                 return None
-            finally:
-                if metrics.enabled:
-                    metrics.histogram(
-                        "pipeline_stage_seconds",
-                        "Pipeline stage wall time",
-                        labels=("stage",),
-                    ).labels(stage=stage).observe(time.perf_counter() - stage_started)
 
         if inline_methods_pass:
-            inliner_stats = _bracket(
-                "inline_methods", "opt.inline_methods", inline_methods
-            )
+            inliner_stats = _bracket("inline_methods", inline_methods)
         if escape_pass:
             escape_stats = _bracket(
                 "escape",
-                "opt.escape",
                 lambda program: apply_escape_optimization(
                     program, splice_inits=inline_methods_pass
                 ),
@@ -390,24 +370,10 @@ def optimize(
                 tracer.count("escape.stack_allocated", escape_stats.stack_allocated)
                 tracer.count("escape.local_hits", escape_stats.local_hits)
                 tracer.count("escape.local_misses", escape_stats.local_misses)
-            if escape_stats is not None and metrics.enabled:
-                rejects = metrics.counter(
-                    "escape_rejects_total",
-                    "Escape-analysis sites rejected, by audit stage",
-                    labels=("stage",),
-                )
-                for stage_name, count in escape_stats.rejected.items():
-                    rejects.labels(stage=stage_name).inc(count)
         if cache_loads_pass:
-            cse_stats = _bracket("loadcse", "opt.loadcse", eliminate_redundant_loads)
+            cse_stats = _bracket("loadcse", eliminate_redundant_loads)
         if dce_pass:
-            dce_stats = _bracket("dce", "opt.dce", eliminate_dead_code)
-    if metrics.enabled:
-        metrics.histogram(
-            "pipeline_stage_seconds",
-            "Pipeline stage wall time",
-            labels=("stage",),
-        ).labels(stage="optimize").observe(time.perf_counter() - optimize_started)
+            dce_stats = _bracket("dce", eliminate_dead_code)
     return OptimizeReport(
         program=outcome.program,
         analysis=result,

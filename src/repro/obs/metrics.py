@@ -19,11 +19,11 @@ Design mirrors the tracer deliberately:
   :meth:`MetricsRegistry.to_dict` and the daemon folds it in with
   :meth:`MetricsRegistry.merge_snapshot` (counters and histogram buckets
   sum; gauges are last-writer-wins).
-- **The disabled path is free.**  :data:`NULL_METRICS` hands back one
-  shared inert instrument whose ``inc``/``set``/``observe`` are no-ops
-  and whose ``labels()`` returns itself — zero allocation, matching the
-  :data:`~repro.obs.tracer.NULL_TRACER` contract.  Call sites that would
-  otherwise build kwargs guard with ``if metrics.enabled:``.
+- **One counter store.**  A service fact is counted once, here; the
+  daemon's text outputs and shutdown record read it back through
+  :func:`digest`.  Time is measured by tracer spans, and the worker
+  derives its histograms from them (see
+  :func:`repro.service.worker.service_work`).
 
 Naming follows Prometheus conventions: ``snake_case``, unit suffix
 (``_seconds``, ``_bytes``), ``_total`` for counters.  Keep label sets
@@ -48,61 +48,6 @@ DEFAULT_LATENCY_BUCKETS = (
 DEFAULT_SIZE_BUCKETS = (
     1024, 4096, 16384, 65536, 262144, 1048576, 4194304, 16777216,
 )
-
-
-class _NullInstrument:
-    """The inert instrument: every mutator is a no-op, ``labels`` is identity."""
-
-    __slots__ = ()
-
-    def labels(self, **kw: object) -> "_NullInstrument":
-        return self
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetrics:
-    """The default registry: hands out the shared inert instrument."""
-
-    enabled = False
-
-    def counter(self, name: str, help: str = "", labels: tuple = ()) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "", labels: tuple = ()) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: tuple = DEFAULT_LATENCY_BUCKETS,
-        labels: tuple = (),
-    ) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def to_dict(self) -> dict:
-        return {}
-
-    def merge_snapshot(self, snapshot: dict) -> None:
-        pass
-
-
-#: Shared inert registry; the default for every instrumented API.
-NULL_METRICS = NullMetrics()
 
 
 class _Child:
@@ -217,8 +162,6 @@ class MetricsRegistry:
     or bucket mismatch raises ``ValueError`` — a silent merge of
     incompatible series would corrupt the exposition.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self.families: dict[str, _Family] = {}
@@ -464,6 +407,8 @@ class MetricsDigest:
     cache_hits: float = 0.0
     cache_misses: float = 0.0
     hit_rate: float = 0.0
+    store_entries: float = 0.0
+    store_evictions: float = 0.0
     faults: dict = field(default_factory=dict)
     slo_p99_s: float | None = None
     slo_error_rate: float | None = None
@@ -479,6 +424,8 @@ class MetricsDigest:
             "p95_ms": None if self.p95_s is None else round(self.p95_s * 1e3, 3),
             "p99_ms": None if self.p99_s is None else round(self.p99_s * 1e3, 3),
             "cache_hit_rate": round(self.hit_rate, 4),
+            "store_entries": self.store_entries,
+            "store_evictions": self.store_evictions,
             "faults": dict(self.faults),
         }
 
@@ -506,6 +453,8 @@ def digest(snapshot: dict) -> MetricsDigest:
     looked = d.cache_hits + d.cache_misses
     if looked > 0:
         d.hit_rate = d.cache_hits / looked
+    d.store_entries = _series_value(snapshot, "service_store_entries")
+    d.store_evictions = _series_value(snapshot, "service_store_evictions_total")
     faults_entry = snapshot.get("service_faults_total", {})
     for item in faults_entry.get("series", ()):
         kind = item.get("labels", {}).get("kind", "?")

@@ -4,8 +4,8 @@ The pieces, bottom-up:
 
 - :mod:`~repro.service.store` — the content-addressed artifact cache:
   ``(op, source hash, CompileConfig hash) -> pickled IR + analysis
-  summary + reply``, LRU-bounded, with hit/miss/eviction/corruption
-  counters exported through :mod:`repro.obs`.
+  summary + reply``, LRU-bounded, counting hits, misses, evictions and
+  corrupt entries in the daemon's metrics registry.
 - :mod:`~repro.service.protocol` — newline-delimited JSON over a unix
   socket (requests, responses, ops).
 - :mod:`~repro.service.worker` — the process-pool entry point; each

@@ -194,9 +194,6 @@ class ServiceClient:
     def ping(self) -> bool:
         return self._checked(self.request("ping")).result == "pong"
 
-    def stats(self) -> dict:
-        return self._checked(self.request("stats")).result
-
     def metrics(self) -> dict:
         """The daemon's live metrics-registry snapshot (read-only)."""
         return self._checked(self.request("metrics")).result

@@ -28,6 +28,11 @@ One long-lived process turns the compile pipeline into a service:
   request/cache events plus every worker's span shard merged in as its
   own lane, so ``repro export chrome`` renders a multi-lane service
   trace with no manual merging.
+- **Metrics** — every service fact (requests, errors, store outcomes,
+  coalescing, crashes, faults, worker timings) is counted once, in the
+  daemon's :class:`~repro.obs.metrics.MetricsRegistry`; the ``metrics``
+  op returns its snapshot, and ``repro serve``'s closing line and the
+  ``service.shutdown`` record read the same registry.
 """
 
 from __future__ import annotations
@@ -40,11 +45,10 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 
 from ..analysis import AnalysisConfig
 from ..obs import NULL_TRACER, tracer_to_file
-from ..obs.metrics import MetricsRegistry, digest
+from ..obs.metrics import MetricsRegistry
 from ..obs.tracecontext import mint_span_id, parse_traceparent
 from ..session import SessionPool
 from .faults import FaultPlan, InjectedFault
@@ -119,30 +123,6 @@ def make_run_dir(base: str) -> str:
         except FileExistsError:
             suffix += 1
             path = f"{candidate}.{suffix}"
-
-
-@dataclass(slots=True)
-class ServiceStats:
-    """Daemon-side request counters (the ``stats`` op, plus tests)."""
-
-    requests: int = 0
-    errors: int = 0
-    timeouts: int = 0
-    coalesced: int = 0
-    crashes: int = 0
-    pool_rebuilds: int = 0
-    injected_corrupt: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "errors": self.errors,
-            "timeouts": self.timeouts,
-            "coalesced": self.coalesced,
-            "crashes": self.crashes,
-            "pool_rebuilds": self.pool_rebuilds,
-            "injected_corrupt": self.injected_corrupt,
-        }
 
 
 class ReproService:
@@ -228,14 +208,10 @@ class ReproService:
         self.slo_p99 = slo_p99
         self.slo_error_rate = slo_error_rate
         self.store = ArtifactStore(
-            max_entries=store_entries,
-            max_bytes=store_bytes,
-            tracer=self.tracer,
-            metrics=self.metrics,
+            max_entries=store_entries, max_bytes=store_bytes, metrics=self.metrics
         )
         #: In-process sessions: the ``compile`` op and per-tenant lanes.
         self.sessions = SessionPool(config=analysis, tracer=self.tracer)
-        self.stats = ServiceStats()
         self._analysis = analysis
         self._pool: ProcessPoolExecutor | None = None
         self._inflight: dict[ArtifactKey, asyncio.Task] = {}
@@ -349,19 +325,13 @@ class ReproService:
         self._refresh_gauges()
         # The terminal record: a trace directory ending in
         # ``service.shutdown`` drained cleanly; one that just stops is a
-        # crash or a SIGKILL.  The final snapshot digest makes postmortem
-        # triage start from numbers.
+        # crash or a SIGKILL.  The final registry snapshot makes
+        # postmortem triage start from numbers (``digest()`` condenses it).
         self.tracer.event(
             "service.shutdown",
             uptime_s=round(time.monotonic() - self._started_at, 3),
             drain_s=round(drain_s, 6),
-            requests=self.stats.requests,
-            errors=self.stats.errors,
-            timeouts=self.stats.timeouts,
-            coalesced=self.stats.coalesced,
-            crashes=self.stats.crashes,
-            store=self.store.stats(),
-            metrics=digest(self.metrics.to_dict()).to_dict(),
+            metrics=self.metrics.to_dict(),
         )
         self.tracer.close()
         if os.path.exists(self.socket_path):
@@ -413,11 +383,11 @@ class ReproService:
         try:
             request = decode_request(line)
         except ProtocolError as error:
-            self.stats.errors += 1
+            # A line that does not decode is still a request: counting it
+            # keeps the error rate a fraction of the requests.
+            self._m_requests.labels(op="invalid").inc()
             self._m_errors.labels(op="invalid").inc()
             return Response(ok=False, error=str(error))
-        self.stats.requests += 1
-        self.tracer.count(f"service.op.{request.op}")
         self._m_requests.labels(op=request.op).inc()
         self._m_queue_depth.set(self._busy)
         rctx = self._bind_request_trace(request)
@@ -427,26 +397,21 @@ class ReproService:
             ):
                 response = await self._handle_request(request, rctx)
         except asyncio.TimeoutError:
-            self.stats.timeouts += 1
-            self.stats.errors += 1
             self._m_timeouts.inc()
             timeout = request.timeout or self.request_timeout
             response = Response(
                 id=request.id, ok=False, error=f"timeout after {timeout:g}s"
             )
         except WorkerCrashed as error:
-            self.stats.errors += 1
             response = Response(id=request.id, ok=False, error=str(error))
         except InjectedFault as error:
             # Chaos mode: the worker raised before any product existed,
             # so the daemon attributes the fault (see service_work).
-            self.stats.errors += 1
             self._m_faults.labels(kind="error").inc()
             response = Response(
                 id=request.id, ok=False, error=f"{type(error).__name__}: {error}"
             )
         except Exception as error:  # compile errors, bad configs, ...
-            self.stats.errors += 1
             response = Response(
                 id=request.id, ok=False, error=f"{type(error).__name__}: {error}"
             )
@@ -502,8 +467,6 @@ class ReproService:
         op = request.op
         if op == "ping":
             return Response(id=request.id, result="pong")
-        if op == "stats":
-            return Response(id=request.id, result=self.describe())
         if op == "metrics":
             self._refresh_gauges()
             return Response(id=request.id, result=self.metrics.to_dict())
@@ -529,7 +492,6 @@ class ReproService:
                 },
             )
         if op == "crash" and not self.allow_test_ops:
-            self.stats.errors += 1
             return Response(
                 id=request.id, ok=False, error="op 'crash' requires --allow-test-ops"
             )
@@ -603,8 +565,6 @@ class ReproService:
             self._m_inflight.set(len(self._inflight))
         self._inflight_waiters[key] = self._inflight_waiters.get(key, 0) + 1
         if coalesced:
-            self.stats.coalesced += 1
-            self.tracer.count("service.coalesced")
             self._m_coalesced.inc()
             link_hex = self._inflight_hex.get(key)
             if rctx.lane.enabled and link_hex is not None:
@@ -652,8 +612,6 @@ class ReproService:
                     # must go through get() and exercise the store's
                     # corrupt-pickle-as-miss recovery (recompile), never
                     # serve bytes derived from the damaged pickle.
-                    self.stats.injected_corrupt += 1
-                    self.tracer.count("service.fault.corrupt")
                     self.store.put_bytes(key, product.artifact)
                 else:
                     reply_bytes = json.dumps(
@@ -683,8 +641,6 @@ class ReproService:
             try:
                 return await loop.run_in_executor(pool, service_work, task)
             except BrokenProcessPool:
-                self.stats.crashes += 1
-                self.tracer.count("service.worker.crash")
                 self._m_crashes.inc()
                 if self.fault_plan.crash_rate > 0:
                     # A broken pool under a crash-injecting plan is (with
@@ -706,8 +662,6 @@ class ReproService:
         """Drop a broken pool (a fresh one is built on next dispatch)."""
         if self._pool is pool:
             self._pool = None
-            self.stats.pool_rebuilds += 1
-            self.tracer.count("service.pool.rebuild")
             self._m_rebuilds.inc()
         pool.shutdown(wait=False, cancel_futures=True)
 
@@ -719,19 +673,6 @@ class ReproService:
         self._m_uptime.set(round(time.monotonic() - self._started_at, 3))
         self._m_inflight.set(len(self._inflight))
         self._m_queue_depth.set(self._busy)
-
-    def describe(self) -> dict:
-        """The ``stats`` op payload."""
-        return {
-            "socket": self.socket_path,
-            "workers": self.workers,
-            "uptime_s": round(time.monotonic() - self._started_at, 3),
-            "inflight": len(self._inflight),
-            "run_dir": self.run_dir,
-            **self.stats.to_dict(),
-            "store": self.store.stats(),
-            "sessions": self.sessions.stats(),
-        }
 
 
 def serve(

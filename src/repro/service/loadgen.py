@@ -4,7 +4,8 @@ Replays the benchmark corpus against a live daemon at a configurable
 concurrency, then reports what a service owner actually watches:
 **throughput**, **p50/p95/p99 latency**, the **cold vs warm split**
 (cold = a real compile reached a worker; warm = answered from the
-content-addressed artifact store), and the daemon's own cache counters.
+content-addressed artifact store), and the daemon's own cache counters,
+read from its metrics registry.
 It writes no file unless asked (``--json``); the recorded service
 latency is the ``perf/bench.py`` service workloads', which the ledger
 (``repro perf record``) keeps.
@@ -130,7 +131,6 @@ class LoadgenReport:
     warm: LatencySummary | None
     cached_replies: int
     coalesced_replies: int
-    server: dict = field(default_factory=dict)
     #: Verify mode: ok replies compared against an in-process oracle.
     verified: bool = False
     incorrect: int = 0
@@ -176,7 +176,6 @@ class LoadgenReport:
             "cached_replies": self.cached_replies,
             "coalesced_replies": self.coalesced_replies,
             "warm_speedup_p50": round(speedup, 2) if speedup is not None else None,
-            "server": self.server,
             "verified": self.verified,
             "incorrect": self.incorrect,
             "incorrect_samples": self.incorrect_samples[:5],
@@ -236,13 +235,13 @@ class LoadgenReport:
             )
             for sample in self.incorrect_samples[:5]:
                 lines.append(f"  INCORRECT: {sample}")
-        store = self.server.get("store") if isinstance(self.server, dict) else None
-        if store:
+        if self.metrics_snapshot:
+            d = metrics_digest(self.metrics_snapshot)
             lines.append(
-                f"server store: {store.get('entries')} entries, "
-                f"{store.get('hits')} hits / {store.get('misses')} misses "
-                f"(hit rate {store.get('hit_rate', 0.0):.1%}), "
-                f"{store.get('evictions')} evictions"
+                f"server store: {d.store_entries:.0f} entries, "
+                f"{d.cache_hits:.0f} hits / {d.cache_misses:.0f} misses "
+                f"(hit rate {round(d.hit_rate, 4):.1%}), "
+                f"{d.store_evictions:.0f} evictions"
             )
         if self.errors:
             for sample in self.error_samples[:5]:
@@ -269,7 +268,7 @@ def percentile_crosscheck(
     the snapshot has no ok-request histogram to compare against.
     """
     # Restrict to the loadgen's own op when given: the daemon's histogram
-    # also counts stats/metrics scrapes, which would skew the comparison
+    # also counts metrics scrapes, which would skew the comparison
     # population against the client's samples.
     match = {"code": "ok"} if op is None else {"code": "ok", "op": op}
     merged = _histogram_series(snapshot, "service_request_seconds", match)
@@ -427,11 +426,9 @@ def run_loadgen(
         thread.join()
     duration = time.perf_counter() - started
 
-    server_stats: dict = {}
     metrics_snapshot: dict = {}
     try:
         with ServiceClient(socket_path, tenant=tenant) as client:
-            server_stats = client.stats()
             metrics_snapshot = client.metrics()
     except (ServiceError, OSError):
         pass
@@ -463,7 +460,6 @@ def run_loadgen(
         warm=LatencySummary.from_samples(warm),
         cached_replies=sum(1 for s in ok if s.cached),
         coalesced_replies=sum(1 for s in ok if s.coalesced),
-        server=server_stats,
         verified=verify,
         incorrect=len(incorrect),
         incorrect_samples=[s.benchmark for s in incorrect],

@@ -23,8 +23,8 @@ Response::
 
 Ops: ``ping`` (liveness), ``compile`` (parse+lower, answered in-process),
 ``analyze`` / ``optimize`` / ``run`` (CPU-bound; dispatched to the worker
-pool through the artifact store), ``stats`` (store/pool/daemon counters),
-``metrics`` (read-only canonical snapshot of the live metrics registry,
+pool through the artifact store), ``metrics`` (read-only canonical
+snapshot of the live metrics registry, the daemon's only counter store,
 see :mod:`repro.obs.metrics`), ``shutdown`` (graceful drain).  ``crash``
 kills the worker mid-request and exists only for robustness tests (the
 daemon rejects it unless started with ``allow_test_ops``).
@@ -42,8 +42,7 @@ from dataclasses import dataclass, field
 
 #: Ops the daemon understands.  ``crash`` is test-only.
 OPS = (
-    "ping", "compile", "analyze", "optimize", "run",
-    "stats", "metrics", "shutdown", "crash",
+    "ping", "compile", "analyze", "optimize", "run", "metrics", "shutdown", "crash",
 )
 
 #: Ops that carry source text and are answered through the worker pool

@@ -15,15 +15,16 @@ blob once (optimized IR + analysis summary + the exact reply payload),
 the daemon keeps the bytes, and a warm hit unpickles the same bytes
 every time — which is what makes cache-hit replies bit-identical to the
 cold compile that populated the entry.  A corrupt entry (truncated or
-garbage bytes) is treated as a **miss**: the entry is discarded, the
-``corrupt`` counter ticks, and the caller recompiles — the store never
-takes the daemon down.
+garbage bytes) is treated as a **miss**: the entry is discarded,
+``service_store_corrupt_total`` ticks, and the caller recompiles — the
+store never takes the daemon down.
 
 Bounds and counters: entries are LRU-evicted past ``max_entries`` (and
-``max_bytes``, when set), and every lookup outcome is counted both on
-the store (``hits``/``misses``/``evictions``/``corrupt``) and through
-the :mod:`repro.obs` tracer as ``service.store.*`` counters, so a
-traced daemon run carries its cache behavior in the JSONL stream.
+``max_bytes``, when set).  Every lookup outcome, put and eviction is
+counted once, in the store's :class:`~repro.obs.metrics.MetricsRegistry`
+(the daemon's own, or a fresh one for a standalone store) as the
+``service_store_*`` families; the ``metrics`` op, ``repro metrics`` and
+the loadgen report all read them from there.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ import pickle
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from ..obs import NULL_METRICS, NULL_TRACER
-from ..obs.metrics import DEFAULT_SIZE_BUCKETS
+from ..obs.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from ..session import CompileConfig, source_key
 
 
@@ -62,24 +62,27 @@ class ArtifactKey:
 
 
 class ArtifactStore:
-    """Content-addressed, LRU-bounded map of pickled artifacts."""
+    """Content-addressed, LRU-bounded map of pickled artifacts.
+
+    ``metrics`` is the registry the store counts in; ``None`` builds a
+    private one, readable as :attr:`metrics`.
+    """
 
     def __init__(
         self,
         max_entries: int = 256,
         max_bytes: int | None = None,
-        tracer=NULL_TRACER,
-        metrics=NULL_METRICS,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.tracer = tracer
+        if metrics is None:
+            metrics = MetricsRegistry()
         self.metrics = metrics
         # Pre-bound label children: the hot path is one dict update, no
-        # kwargs allocation (and NULL_METRICS makes all of these the one
-        # shared inert instrument).
+        # kwargs allocation.
         hits = metrics.counter(
             "service_store_hits_total", "Artifact-store hits", labels=("path",)
         )
@@ -113,11 +116,6 @@ class ArtifactStore:
             OrderedDict()
         )
         self._total_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.reply_bytes_hits = 0
-        self.evictions = 0
-        self.corrupt = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -128,64 +126,44 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Lookup / insert.
 
-    def get_bytes(self, key: ArtifactKey) -> bytes | None:
-        """The raw pickled blob, or ``None`` on miss (LRU-refreshing)."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            self.tracer.count("service.store.miss")
-            self._m_miss.inc()
-            return None
-        self.hits += 1
-        self.tracer.count("service.store.hit")
-        self._m_hit_artifact.inc()
-        self._entries.move_to_end(key)
-        return entry[0]
-
     def get_reply_bytes(self, key: ArtifactKey) -> bytes | None:
         """The canonical encoded reply bytes, or ``None``.
 
         A present entry without reply bytes (a pre-upgrade producer, or
         an op whose reply is uncacheable) returns ``None`` *without*
         counting a miss — the caller falls back to :meth:`get` and that
-        lookup does the counting.  A hit counts as a store hit plus
-        ``service.store.reply_bytes_hit`` so traces show how many warm
-        replies skipped the unpickle + re-encode entirely.
+        lookup does the counting.  A hit counts under
+        ``path="reply_bytes"``, so the scrape shows how many warm replies
+        skipped the unpickle + re-encode entirely.
         """
         entry = self._entries.get(key)
         if entry is None or entry[1] is None:
             return None
-        self.hits += 1
-        self.reply_bytes_hits += 1
-        self.tracer.count("service.store.hit")
-        self.tracer.count("service.store.reply_bytes_hit")
         self._m_hit_reply_bytes.inc()
         self._entries.move_to_end(key)
         return entry[1]
 
     def get(self, key: ArtifactKey) -> object | None:
-        """The unpickled artifact, or ``None`` on miss.
+        """The unpickled artifact (LRU-refreshing), or ``None`` on miss.
 
-        A blob that fails to unpickle is **discarded and counted as a
-        miss** (plus ``corrupt``): a damaged cache entry must never be
-        worse than no cache entry.
+        The lookup is counted once, after the unpickle.  A blob that
+        fails to unpickle is **discarded and counted as a miss** (plus
+        ``corrupt``): a damaged cache entry must never be worse than no
+        cache entry.
         """
-        blob = self.get_bytes(key)
-        if blob is None:
-            return None
-        try:
-            return pickle.loads(blob)
-        except Exception:
-            # Bad pickle -> drop the entry, refund the hit as a miss.
-            self.hits -= 1
-            self.misses += 1
-            self.corrupt += 1
-            self.tracer.count("service.store.corrupt")
-            self._m_hit_artifact.dec()
-            self._m_miss.inc()
-            self._m_corrupt.inc()
-            self._drop(key)
-            return None
+        entry = self._entries.get(key)
+        if entry is not None:
+            try:
+                artifact = pickle.loads(entry[0])
+            except Exception:
+                self._m_corrupt.inc()
+                self._drop(key)
+            else:
+                self._m_hit_artifact.inc()
+                self._entries.move_to_end(key)
+                return artifact
+        self._m_miss.inc()
+        return None
 
     def put(self, key: ArtifactKey, value: object) -> bytes:
         """Pickle ``value`` and store it; returns the stored bytes."""
@@ -204,7 +182,6 @@ class ArtifactStore:
             self._drop(key)
         self._entries[key] = (blob, reply_bytes)
         self._total_bytes += self._entry_bytes((blob, reply_bytes))
-        self.tracer.count("service.store.put")
         self._m_put.inc()
         self._m_artifact_bytes.observe(len(blob))
         while len(self._entries) > self.max_entries or (
@@ -214,8 +191,6 @@ class ArtifactStore:
         ):
             evicted_key, evicted = self._entries.popitem(last=False)
             self._total_bytes -= self._entry_bytes(evicted)
-            self.evictions += 1
-            self.tracer.count("service.store.evict")
             self._m_evict.inc()
             if evicted_key == key:
                 break
@@ -241,26 +216,3 @@ class ArtifactStore:
     def _update_size_gauges(self) -> None:
         self._m_entries.set(len(self._entries))
         self._m_bytes.set(self._total_bytes)
-
-    # ------------------------------------------------------------------
-    # Introspection.
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> dict:
-        """JSON-serializable counters (the service ``stats`` op)."""
-        return {
-            "entries": len(self._entries),
-            "bytes": self._total_bytes,
-            "max_entries": self.max_entries,
-            "max_bytes": self.max_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "reply_bytes_hits": self.reply_bytes_hits,
-            "hit_rate": round(self.hit_rate, 4),
-            "evictions": self.evictions,
-            "corrupt": self.corrupt,
-        }

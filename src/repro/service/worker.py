@@ -4,7 +4,9 @@
 picklable task dict, drives a :class:`repro.Session` through the
 requested phase, and ships back a :class:`WorkProduct` — the
 JSON-serializable reply payload, the pickled artifact blob for the
-daemon's content-addressed store, and the worker's trace shard.
+daemon's content-addressed store, the worker's trace shard, and a
+metrics snapshot whose timings are read off that shard's spans (the
+span is the only timer; see :func:`_record_op_metrics`).
 
 Two amortization layers stack here:
 
@@ -31,6 +33,7 @@ import time
 from dataclasses import dataclass
 
 from ..analysis import AnalysisConfig
+from ..inlining.pipeline import SCALAR_STAGES
 from ..obs import MemorySink, MetricsRegistry, Tracer, TraceShard, mint_span_id
 from ..session import CompileConfig, SessionPool
 from .faults import FaultPlan, InjectedFault, corrupt_bytes, draw
@@ -76,13 +79,13 @@ class WorkProduct:
     #: Pickled artifact blob for the store (``None`` for uncacheable ops).
     artifact: bytes | None
     trace: TraceShard
-    elapsed_s: float
     #: Set when a fault plan damaged this product ("corrupt"); the
     #: daemon must then not trust the artifact's fast paths.
     injected: str | None = None
     #: Metrics-registry snapshot (:meth:`MetricsRegistry.to_dict`) —
-    #: worker-side deltas (per-op latency, pipeline stage timings,
-    #: self-reportable fault kinds) the daemon folds into its registry.
+    #: worker-side deltas (per-op latency and pipeline stage timings read
+    #: off ``trace``'s spans, self-reportable fault kinds) the daemon
+    #: folds into its registry.
     metrics: dict | None = None
 
 
@@ -147,7 +150,6 @@ def service_work(task: dict) -> WorkProduct:
             time.sleep(plan.hang_seconds)
         elif fault == "error":
             raise InjectedFault(f"injected worker fault (op {op!r})")
-    started = time.perf_counter()
     tracer = Tracer(MemorySink())
     metrics = MetricsRegistry()
     # Hang and corrupt are the only fault kinds a worker can self-report:
@@ -162,6 +164,7 @@ def service_work(task: dict) -> WorkProduct:
         task["source"], tenant=task.get("tenant", "default"), path=task.get("path")
     )
     artifact: bytes | None = None
+    report = None
     # The propagated trace context: the daemon's dispatch span is this
     # span's causal parent; the hex ids in the meta survive the trace
     # merge (local integer ids do not) and drive export-time stitching.
@@ -174,13 +177,13 @@ def service_work(task: dict) -> WorkProduct:
             span_meta["parent_span"] = trace_ctx["parent_span"]
     with tracer.span("service.work", **span_meta):
         if op == "analyze":
-            report = session.optimize(config, tracer=tracer, metrics=metrics)
+            report = session.optimize(config, tracer=tracer)
             reply = {"op": op, **analysis_summary(report)}
             artifact = pickle.dumps(
                 {"program": report.program, "summary": analysis_summary(report), "reply": reply}
             )
         elif op == "optimize":
-            report = session.optimize(config, tracer=tracer, metrics=metrics)
+            report = session.optimize(config, tracer=tracer)
             summary = analysis_summary(report)
             stats = report.clone_stats
             reply = {
@@ -204,9 +207,8 @@ def service_work(task: dict) -> WorkProduct:
             if build == "plain":
                 program = session.compile()
             else:
-                program = session.optimize(
-                    _build_config(build, config), tracer=tracer, metrics=metrics
-                ).program
+                report = session.optimize(_build_config(build, config), tracer=tracer)
+                program = report.program
             result = session_run(
                 session,
                 program,
@@ -230,18 +232,58 @@ def service_work(task: dict) -> WorkProduct:
         # path on the next warm lookup, never a wrong client answer.
         artifact = corrupt_bytes(artifact, rng)
         injected = "corrupt"
-    elapsed = time.perf_counter() - started
-    metrics.histogram(
-        "service_worker_op_seconds", "Worker wall time per op", labels=("op",)
-    ).labels(op=op).observe(elapsed)
+    _record_op_metrics(metrics, tracer.span_totals, op, report)
     return WorkProduct(
         reply=reply,
         artifact=artifact,
         trace=tracer.shard(),
-        elapsed_s=elapsed,
         injected=injected,
         metrics=metrics.to_dict(),
     )
+
+
+def _record_op_metrics(
+    metrics: MetricsRegistry, span_totals: dict, op: str, report
+) -> None:
+    """Fill the worker's families from the spans of one op.
+
+    ``span_totals`` is the op's fresh tracer's, so each span named here
+    closed at most once.  ``service_worker_op_seconds`` is the
+    ``service.work`` span.  The pipeline families are filled only when
+    an ``optimize`` span closed, i.e. ``report`` was computed rather
+    than memoized: ``pipeline_stage_seconds`` from the ``optimize`` and
+    ``opt.<stage>`` spans (a stage's time excludes the ``opt.validate``
+    run after it), ``pipeline_stage_degraded_total`` from
+    ``report.degraded_stages`` and ``escape_rejects_total`` from the
+    escape stage's audit.
+    """
+    metrics.histogram(
+        "service_worker_op_seconds", "Worker wall time per op", labels=("op",)
+    ).labels(op=op).observe(span_totals["service.work"][1])
+    if "optimize" not in span_totals:
+        return
+    stage_seconds = metrics.histogram(
+        "pipeline_stage_seconds", "Pipeline stage wall time", labels=("stage",)
+    )
+    stage_seconds.labels(stage="optimize").observe(span_totals["optimize"][1])
+    for stage in SCALAR_STAGES:
+        total = span_totals.get(f"opt.{stage}")
+        if total is not None:
+            stage_seconds.labels(stage=stage).observe(total[1])
+    for record in report.degraded_stages:
+        metrics.counter(
+            "pipeline_stage_degraded_total",
+            "Scalar stages rolled back after a failure",
+            labels=("stage",),
+        ).labels(stage=record["stage"]).inc()
+    if report.escape_stats is not None:
+        rejects = metrics.counter(
+            "escape_rejects_total",
+            "Escape-analysis sites rejected, by audit stage",
+            labels=("stage",),
+        )
+        for stage, count in report.escape_stats.rejected.items():
+            rejects.labels(stage=stage).inc(count)
 
 
 def _build_config(build: str, config: CompileConfig) -> CompileConfig:

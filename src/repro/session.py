@@ -56,7 +56,7 @@ from .inlining.pipeline import optimize as _optimize
 from .ir import compile_source as _compile_source
 from .ir import format_program
 from .ir.model import IRProgram
-from .obs import NULL_METRICS, NULL_TRACER
+from .obs import NULL_TRACER
 from .runtime import CacheConfig, RunResult
 from .runtime import run_program as _run_program
 
@@ -226,7 +226,6 @@ class Session:
         config: CompileConfig | None = None,
         *,
         tracer=None,
-        metrics=None,
     ) -> OptimizeReport:
         """Run the inlining pipeline; one cached report per config.
 
@@ -236,10 +235,7 @@ class Session:
         analysis knobs come from ``config.analysis``, falling back to the
         session's ``AnalysisConfig``.  ``tracer`` overrides the session
         tracer for this call (see :meth:`analyze` — memoized reports are
-        returned without re-tracing).  ``metrics`` (a
-        :class:`repro.obs.metrics.MetricsRegistry`) receives per-stage
-        pipeline observations for this call; like the tracer, a memoized
-        report records nothing new.
+        returned without re-tracing, so their phases open no spans).
         """
         resolved = (config or CompileConfig()).resolved(self.config)
         key = resolved.content_key()
@@ -249,7 +245,6 @@ class Session:
                 self.compile(),
                 config=resolved.analysis,
                 tracer=self.tracer if tracer is None else tracer,
-                metrics=NULL_METRICS if metrics is None else metrics,
                 analysis_cache=self.analysis_cache,
                 **resolved.pipeline_options(),
             )
@@ -359,7 +354,7 @@ class SessionPool:
         return session
 
     def stats(self) -> dict:
-        """Pool counters (JSON-serializable, for the service stats op)."""
+        """Pool counters (JSON-serializable)."""
         return {
             "sessions": len(self._sessions),
             "tenants": len(self._tenant_tracers),

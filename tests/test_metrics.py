@@ -1,10 +1,10 @@
 """The metrics registry: instruments, snapshot/merge, exposition.
 
 The registry is the live half of the observability plane (the tracer is
-the post-hoc half), so these tests pin its contracts hard: the disabled
-path allocates nothing, snapshots merge like trace shards, bucket counts
-stay non-cumulative internally but cumulate (and close with ``+Inf``) in
-the Prometheus text rendering.
+the post-hoc half), so these tests pin its contracts hard: snapshots
+merge like trace shards, bucket counts stay non-cumulative internally
+but cumulate (and close with ``+Inf``) in the Prometheus text rendering,
+and the digest reads what the daemon's text outputs print.
 """
 
 import json
@@ -14,7 +14,6 @@ import pytest
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
-    NULL_METRICS,
     bucket_index,
     digest,
     quantile_from_buckets,
@@ -77,23 +76,6 @@ class TestInstruments:
     def test_empty_histogram_buckets_rejected(self):
         with pytest.raises(ValueError, match="bucket"):
             MetricsRegistry().histogram("h_seconds", buckets=())
-
-
-class TestNullPath:
-    def test_null_metrics_is_inert_and_allocation_free(self):
-        # labels() must return the *same* shared instrument: the zero-
-        # allocation contract for the disabled path.
-        c = NULL_METRICS.counter("anything_total", labels=("op",))
-        assert c.labels(op="x") is c
-        assert NULL_METRICS.histogram("h_seconds") is c
-        c.inc()
-        c.observe(1.0)
-        c.set(3)
-        c.dec()
-        assert NULL_METRICS.to_dict() == {}
-        NULL_METRICS.merge_snapshot({"x": {}})  # no-op
-        assert not NULL_METRICS.enabled
-        assert MetricsRegistry().enabled
 
 
 class TestSnapshotMerge:
@@ -218,6 +200,8 @@ class TestDigest:
             path="artifact"
         ).inc(15)
         m.counter("service_store_misses_total").inc(5)
+        m.counter("service_store_evictions_total").inc(3)
+        m.gauge("service_store_entries").set(12)
         m.counter("service_faults_total", labels=("kind",)).labels(kind="crash").inc(2)
         m.gauge("service_slo_p99_seconds").set(0.25)
         m.gauge("service_slo_error_rate").set(0.01)
@@ -232,6 +216,7 @@ class TestDigest:
         # ok-series only: the error observation (0.5s) must not move p99.
         assert d.p99_s == 0.1
         assert d.hit_rate == pytest.approx(0.75)
+        assert (d.store_entries, d.store_evictions) == (12, 3)
         assert d.faults == {"crash": 2}
         assert d.slo_p99_s == 0.25
 
@@ -252,7 +237,7 @@ class TestPercentileCrosscheck:
         for v in (0.005, 0.05, 0.05, 0.05):
             h.labels(op=op, code="ok").observe(v)
         # Scrape traffic on another op must not skew the comparison.
-        h.labels(op="stats", code="ok").observe(0.0001)
+        h.labels(op="metrics", code="ok").observe(0.0001)
         return m.to_dict()
 
     def test_agreement_within_one_bucket(self):

@@ -7,11 +7,13 @@ stack ``repro serve`` / ``repro loadgen`` use.
 
 import json
 import os
+import socket
 import threading
 
 import pytest
 
 from repro.cli import main
+from repro.obs.metrics import MetricsRegistry, digest
 from repro.service import (
     ProtocolError,
     Request,
@@ -34,6 +36,16 @@ OTHER_SOURCE = """
 class Box { var item; def init(i) { this.item = i; } }
 def main() { var b = new Box(11); print(b.item); }
 """
+
+
+def _series(snapshot, family, **labels):
+    """Sum of a snapshot family's series whose labels include ``labels``
+    (a counter's value, or a histogram's observation count)."""
+    return sum(
+        item.get("value", item.get("count", 0))
+        for item in snapshot.get(family, {}).get("series", ())
+        if labels.items() <= item["labels"].items()
+    )
 
 
 @pytest.fixture()
@@ -109,10 +121,24 @@ class TestBasicOps:
     def test_ping_and_stats(self, service, sock):
         with ServiceClient(sock) as client:
             assert client.ping()
-            stats = client.stats()
-        assert stats["workers"] == 2
-        assert stats["requests"] >= 1
-        assert "store" in stats and "sessions" in stats
+            snapshot = client.metrics()
+        assert _series(snapshot, "service_requests_total", op="ping") == 1
+        assert digest(snapshot).requests == 2  # the ping and this scrape
+        assert {"service_store_hits_total", "service_store_misses_total"} <= set(snapshot)
+
+    def test_malformed_lines_count_as_requests(self, service, sock):
+        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        raw.connect(sock)
+        with raw, raw.makefile("rwb") as stream:
+            for line in (b"not json\n", b'{"op": "explode"}\n'):
+                stream.write(line)
+                stream.flush()
+                assert not decode_response(stream.readline()).ok
+        with ServiceClient(sock) as client:
+            assert client.ping()
+            d = digest(client.metrics())
+        assert (d.requests, d.errors) == (4, 2)
+        assert d.error_rate == 0.5
 
     def test_compile_answers_in_process(self, service, sock):
         with ServiceClient(sock) as client:
@@ -162,9 +188,9 @@ class TestArtifactCache:
         with ServiceClient(sock) as client:
             cold = client.request("optimize", source=SOURCE, config=config)
             warm = client.request("optimize", source=SOURCE, config=config)
-            stats = client.stats()
+            snapshot = client.metrics()
         assert warm.cached and warm.result == cold.result
-        assert stats["store"]["reply_bytes_hits"] >= 1
+        assert _series(snapshot, "service_store_hits_total", path="reply_bytes") >= 1
 
     def test_cache_key_includes_config(self, service, sock):
         with ServiceClient(sock) as client:
@@ -227,10 +253,12 @@ class TestRobustness:
                 # The daemon rebuilt the pool and keeps serving.
                 assert client.ping()
                 assert client.optimize(SOURCE).ok
-                stats = client.stats()
-            assert stats["crashes"] >= 2  # original + the one requeue
-            assert stats["pool_rebuilds"] >= 2
-        assert handle.service.stats.crashes >= 2
+                snapshot = client.metrics()
+            # The original + the one requeue.
+            assert _series(snapshot, "service_worker_crashes_total") >= 2
+            assert _series(snapshot, "service_pool_rebuilds_total") >= 2
+        crashes = handle.service.metrics.families["service_worker_crashes_total"]
+        assert crashes.value >= 2
 
     def test_crash_op_is_gated(self, service, sock):
         with ServiceClient(sock) as client:
@@ -346,7 +374,10 @@ class TestLoadgen:
         assert report.throughput_rps > 0
         speedup = report.warm_speedup()
         assert speedup is not None and speedup > 1.0
-        assert report.server["store"]["hits"] > 0
+        assert report.to_dict()["daemon_digest"]["cache_hit_rate"] > 0
+        assert any(
+            line.startswith("server store: ") for line in report.render().splitlines()
+        )
 
     def test_loadgen_cli_self_host(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -459,8 +490,9 @@ class TestChaosAndRobustness:
                 # (corrupt-pickle-as-miss) and recompiled, so the second
                 # reply is correct too — just not warm.
                 assert second.result["output"] == ["5"]
-                stats = client.stats()
-                assert stats["injected_corrupt"] >= 1
+                snapshot = client.metrics()
+                assert _series(snapshot, "service_faults_total", kind="corrupt") >= 1
+                assert _series(snapshot, "service_store_corrupt_total") >= 1
 
     def test_resource_budget_is_a_clean_error_reply(self, service, sock):
         with ServiceClient(sock) as client:
@@ -500,3 +532,60 @@ class TestChaosAndRobustness:
         assert report.verified
         assert report.incorrect == 0
         assert report.incorrect_samples == []
+
+
+class TestWorkerMetrics:
+    """The families a worker derives from its spans, on a real compile."""
+
+    # Compiled by no other test, so the worker's warm session pool holds
+    # no memoized report for it.  The global store and the local array
+    # give the escape stage rejects under two audit stages.
+    SOURCE = """
+    class Cell { var v; def init(v) { this.v = v; } }
+    var kept = nil;
+    def main() {
+      kept = new Cell(2);
+      var a = array(2);
+      a[0] = kept.v;
+      print(a[0] + 40);
+    }
+    """
+
+    def test_pipeline_families_come_from_one_compile(self):
+        from repro.fuzz.bugs import seeded_bug
+        from repro.service import service_work
+        from repro.session import Session
+
+        task = {
+            "op": "optimize",
+            "source": self.SOURCE,
+            "path": "cell.icc",
+            "tenant": "worker-metrics",
+        }
+        daemon = MetricsRegistry()
+        with seeded_bug("crash-loadcse"):
+            report = Session(self.SOURCE).optimize()
+            daemon.merge_snapshot(service_work(task).metrics)
+            first = daemon.to_dict()
+            daemon.merge_snapshot(service_work(task).metrics)
+            second = daemon.to_dict()
+
+        assert _series(first, "service_worker_op_seconds", op="optimize") == 1
+        for stage in ("optimize", "inline_methods", "escape", "loadcse", "dce"):
+            assert _series(first, "pipeline_stage_seconds", stage=stage) == 1, stage
+        assert _series(first, "pipeline_stage_degraded_total", stage="loadcse") == 1
+        rejects = {
+            item["labels"]["stage"]: item["value"]
+            for item in first["escape_rejects_total"]["series"]
+        }
+        assert rejects and rejects == dict(report.escape_stats.rejected)
+
+        # The second call is answered by the worker's memoized report: one
+        # more op observation, and nothing from the pipeline.
+        assert _series(second, "service_worker_op_seconds", op="optimize") == 2
+        for family in (
+            "pipeline_stage_seconds",
+            "pipeline_stage_degraded_total",
+            "escape_rejects_total",
+        ):
+            assert _series(second, family) == _series(first, family), family

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import repro
+from repro.obs.metrics import MetricsRegistry, digest
 from repro.service import ArtifactKey, ArtifactStore
 from repro.session import CompileConfig, source_key
 
@@ -19,6 +20,18 @@ def main() { var p = new P(7); print(p.v); }
 
 def _key(kind="optimize", source=SOURCE, config=None, extra=""):
     return ArtifactKey.for_request(kind, source, config or CompileConfig(), extra)
+
+
+def _value(store, family, **labels):
+    """One family of the store's registry: its labeled series, or the sum."""
+    instrument = store.metrics.families[family]
+    return instrument.labels(**labels).value if labels else instrument.value
+
+
+def _lookups(store):
+    """(hits, misses) as the registry's digest reads them."""
+    d = digest(store.metrics.to_dict())
+    return d.cache_hits, d.cache_misses
 
 
 class TestAddressing:
@@ -83,13 +96,13 @@ class TestLRU:
         key = _key()
         store.put(key, {"reply": 42})
         assert store.get(key) == {"reply": 42}
-        assert (store.hits, store.misses) == (1, 0)
-        assert store.hit_rate == 1.0
+        assert _lookups(store) == (1, 0)
+        assert digest(store.metrics.to_dict()).hit_rate == 1.0
 
     def test_miss_counts(self):
         store = ArtifactStore(max_entries=4)
         assert store.get(_key()) is None
-        assert (store.hits, store.misses) == (0, 1)
+        assert _lookups(store) == (0, 1)
 
     def test_entry_cap_evicts_least_recent(self):
         store = ArtifactStore(max_entries=2)
@@ -98,7 +111,7 @@ class TestLRU:
         store.put(b, 2)
         store.put(c, 3)  # a is the oldest -> evicted
         assert a not in store and b in store and c in store
-        assert store.evictions == 1
+        assert _value(store, "service_store_evictions_total") == 1
 
     def test_get_refreshes_recency(self):
         store = ArtifactStore(max_entries=2)
@@ -115,8 +128,8 @@ class TestLRU:
         for key in keys:
             store.put_bytes(key, b"x" * 64)
         assert len(store) < 8
-        assert store.evictions >= 1
-        assert store.stats()["bytes"] <= 200 + 64  # one entry always kept
+        assert _value(store, "service_store_evictions_total") >= 1
+        assert _value(store, "service_store_bytes") <= 200 + 64  # one entry always kept
 
     def test_overwrite_replaces_without_double_count(self):
         store = ArtifactStore(max_entries=4)
@@ -124,7 +137,7 @@ class TestLRU:
         store.put_bytes(key, b"x" * 100)
         store.put_bytes(key, b"y" * 10)
         assert len(store) == 1
-        assert store.stats()["bytes"] == 10
+        assert _value(store, "service_store_bytes") == 10
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
@@ -137,7 +150,8 @@ class TestCorruption:
         key = _key()
         store.put_bytes(key, b"this is not a pickle")
         assert store.get(key) is None
-        assert (store.hits, store.misses, store.corrupt) == (0, 1, 1)
+        assert _lookups(store) == (0, 1)
+        assert _value(store, "service_store_corrupt_total") == 1
         # The damaged entry is gone: the next put repopulates cleanly.
         assert key not in store
         store.put(key, "fresh")
@@ -148,16 +162,16 @@ class TestCorruption:
         key = _key()
         store.put_bytes(key, pickle.dumps({"big": list(range(100))})[:7])
         assert store.get(key) is None
-        assert store.corrupt == 1
+        assert _value(store, "service_store_corrupt_total") == 1
 
-    def test_stats_shape(self):
-        store = ArtifactStore(max_entries=4)
-        stats = store.stats()
-        assert set(stats) == {
-            "entries", "bytes", "max_entries", "max_bytes",
-            "hits", "misses", "reply_bytes_hits", "hit_rate",
-            "evictions", "corrupt",
-        }
+    def test_corrupt_lookup_opens_no_hit_series(self):
+        # The lookup is counted once, after the unpickle: a corrupt entry
+        # is a miss, never a hit refunded to zero.
+        registry = MetricsRegistry()
+        store = ArtifactStore(max_entries=4, metrics=registry)
+        store.put_bytes(_key(), b"this is not a pickle")
+        assert store.get(_key()) is None
+        assert registry.to_dict()["service_store_hits_total"]["series"] == []
 
 
 class TestReplyBytes:
@@ -166,31 +180,32 @@ class TestReplyBytes:
         key = _key()
         store.put_bytes(key, pickle.dumps({"reply": 1}), reply_bytes=b'{"x":1}')
         assert store.get_reply_bytes(key) == b'{"x":1}'
-        assert (store.hits, store.misses, store.reply_bytes_hits) == (1, 0, 1)
+        assert _lookups(store) == (1, 0)
+        assert _value(store, "service_store_hits_total", path="reply_bytes") == 1
 
     def test_absent_entry_probes_without_counting_a_miss(self):
         # The caller falls back to get(), which does the counting — a
         # warm-path probe must not double-book the outcome.
         store = ArtifactStore(max_entries=4)
         assert store.get_reply_bytes(_key()) is None
-        assert (store.hits, store.misses, store.reply_bytes_hits) == (0, 0, 0)
+        assert _lookups(store) == (0, 0)
 
     def test_entry_without_bytes_probes_without_counting(self):
         store = ArtifactStore(max_entries=4)
         key = _key()
         store.put(key, {"reply": 1})  # no reply_bytes (pre-upgrade producer)
         assert store.get_reply_bytes(key) is None
-        assert (store.hits, store.misses, store.reply_bytes_hits) == (0, 0, 0)
+        assert _lookups(store) == (0, 0)
         assert store.get(key) == {"reply": 1}
-        assert store.hits == 1
+        assert _value(store, "service_store_hits_total", path="artifact") == 1
 
     def test_reply_bytes_count_toward_the_byte_cap(self):
         store = ArtifactStore(max_entries=4)
         key = _key()
         store.put_bytes(key, b"x" * 10, reply_bytes=b"y" * 30)
-        assert store.stats()["bytes"] == 40
+        assert _value(store, "service_store_bytes") == 40
         store.put_bytes(key, b"x" * 10)  # overwrite drops the reply bytes
-        assert store.stats()["bytes"] == 10
+        assert _value(store, "service_store_bytes") == 10
 
     def test_hit_refreshes_recency(self):
         store = ArtifactStore(max_entries=2)

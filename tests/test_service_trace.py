@@ -17,6 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs import tracer_to_file
+from repro.obs.metrics import digest
 from repro.obs.export import SpanNode, _load_many, build_span_forest
 from repro.service import ServiceClient, ServiceError, ServiceThread
 
@@ -219,13 +220,13 @@ class TestStitching:
         ]
         assert len(stops) == 1
         data = stops[0]["data"]
-        assert data["requests"] >= 1
+        assert set(data) == {"uptime_s", "drain_s", "metrics"}
         assert data["uptime_s"] > 0
         assert data["drain_s"] >= 0
-        assert data["store"]["misses"] >= 1
-        digest = data["metrics"]
-        assert digest["requests"] >= 1
-        assert digest["cache_hit_rate"] >= 0.0
+        final = digest(data["metrics"])
+        assert final.requests >= 1
+        assert final.cache_misses >= 1
+        assert "service_worker_op_seconds" in data["metrics"]
 
 
 def _events_of(path):

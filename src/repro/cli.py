@@ -412,19 +412,15 @@ def _parse_fault_plan(spec: str | None):
     """A :class:`FaultPlan` from ``error=0.1,hang=0.05,...`` (or None).
 
     Falls back to ``$REPRO_FAULT_PLAN`` (JSON) when no spec is given;
-    returns ``None`` when neither names an active plan.
+    returns ``None`` when neither names an active plan.  Raises
+    ``ValueError`` on a malformed value or a key that names no field.
     """
     from .service import FaultPlan
 
     if spec is None:
         plan = FaultPlan.from_env()
         return plan if plan.active else None
-    short = {
-        "error": "error_rate",
-        "hang": "hang_rate",
-        "corrupt": "corrupt_rate",
-        "crash": "crash_rate",
-    }
+    short = {"error": "error_rate", "hang": "hang_rate", "crash": "crash_rate"}
     payload: dict[str, float] = {}
     for part in spec.split(","):
         part = part.strip()
@@ -451,6 +447,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return 1
         print(f"daemon at {args.socket} is draining")
         return 0
+    try:
+        fault_plan = _parse_fault_plan(getattr(args, "fault_plan", None))
+    except ValueError as error:
+        print(f"error: bad fault plan: {error}", file=sys.stderr)
+        return 2
     print(
         f"repro service listening on {args.socket} "
         f"(workers={args.workers}, store={args.store_entries} entries, "
@@ -459,11 +460,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     if args.trace_dir:
         print(f"tracing to a fresh run directory under {args.trace_dir}", flush=True)
-    try:
-        fault_plan = _parse_fault_plan(getattr(args, "fault_plan", None))
-    except ValueError as error:
-        print(f"error: bad fault plan: {error}", file=sys.stderr)
-        return 2
     if fault_plan is not None:
         print(f"CHAOS MODE: injecting faults per {fault_plan.to_dict()}", flush=True)
     service = serve(
@@ -911,7 +907,7 @@ def main(argv: list[str] | None = None) -> int:
     serve_parser.add_argument(
         "--fault-plan", metavar="SPEC",
         help="chaos mode: inject worker faults, e.g. "
-        "'error=0.05,hang=0.02,corrupt=0.02,crash=0.01' "
+        "'error=0.05,hang=0.02,crash=0.01' "
         "(default: $REPRO_FAULT_PLAN if set)",
     )
     serve_parser.add_argument(

@@ -44,11 +44,6 @@ DEFAULT_LATENCY_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
-#: Artifact-size buckets (bytes): 1 KiB .. 16 MiB, powers of four.
-DEFAULT_SIZE_BUCKETS = (
-    1024, 4096, 16384, 65536, 262144, 1048576, 4194304, 16777216,
-)
-
 
 class _Child:
     """One labeled series of a counter or gauge family."""

@@ -2,10 +2,10 @@
 
 The pieces, bottom-up:
 
-- :mod:`~repro.service.store` — the content-addressed artifact cache:
-  ``(op, source hash, CompileConfig hash) -> pickled IR + analysis
-  summary + reply``, LRU-bounded, counting hits, misses, evictions and
-  corrupt entries in the daemon's metrics registry.
+- :mod:`~repro.service.store` — the content-addressed reply cache:
+  ``(op, source hash, CompileConfig hash) -> canonical reply bytes``,
+  LRU-bounded, counting hits, misses and evictions in the daemon's
+  metrics registry.
 - :mod:`~repro.service.protocol` — newline-delimited JSON over a unix
   socket (requests, responses, ops).
 - :mod:`~repro.service.worker` — the process-pool entry point; each

@@ -7,11 +7,12 @@ One long-lived process turns the compile pipeline into a service:
   Connections are cheap and persistent; requests on one connection are
   answered in order, and many connections are served concurrently.
 - **Artifact cache** — every ``analyze``/``optimize``/``run`` answer is
-  addressed by ``(op, source hash, config hash)`` in a content-addressed
+  encoded once, in its canonical wire form, and kept under
+  ``(op, source hash, config hash)`` in a content-addressed
   :class:`~repro.service.store.ArtifactStore`; exact repeats are
-  answered from the store without touching a worker.  Identical
+  answered with those bytes without touching a worker.  Identical
   **in-flight** requests are coalesced: N concurrent compiles of the
-  same program dispatch one worker task and share its reply.
+  same program dispatch one worker task and share its reply bytes.
 - **Worker pool** — CPU-bound work runs in a
   :class:`~concurrent.futures.ProcessPoolExecutor` via
   :func:`repro.service.worker.service_work`.  A crashed worker breaks
@@ -136,7 +137,6 @@ class ReproService:
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
         drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
         store_entries: int = 256,
-        store_bytes: int | None = None,
         trace_dir: str | None = None,
         analysis: AnalysisConfig | None = None,
         allow_test_ops: bool = False,
@@ -207,9 +207,7 @@ class ReproService:
         )
         self.slo_p99 = slo_p99
         self.slo_error_rate = slo_error_rate
-        self.store = ArtifactStore(
-            max_entries=store_entries, max_bytes=store_bytes, metrics=self.metrics
-        )
+        self.store = ArtifactStore(max_entries=store_entries, metrics=self.metrics)
         #: In-process sessions: the ``compile`` op and per-tenant lanes.
         self.sessions = SessionPool(config=analysis, tracer=self.tracer)
         self._analysis = analysis
@@ -510,20 +508,12 @@ class ReproService:
                 extra += f":steps={request.max_steps}:cells={request.max_heap_cells}"
         key = ArtifactKey.for_request(request.op, request.source, config, extra=extra)
         timeout = request.timeout or self.request_timeout
-        # Warm path: content-addressed artifact store.  The store keeps
-        # the reply in its canonical wire encoding, so a warm hit serves
-        # the stored bytes without unpickling the artifact or
-        # re-serializing the reply per request.
+        # Warm path: the store keeps the reply in its canonical wire
+        # encoding, so a hit is spliced into the response as stored.
         with rctx.lane.span("service.cache", op=request.op):
-            reply_bytes = self.store.get_reply_bytes(key)
-            if reply_bytes is None:
-                artifact = self.store.get(key)
-            else:
-                artifact = None
+            reply_bytes = self.store.get(key)
         if reply_bytes is not None:
             return Response(id=request.id, result_bytes=reply_bytes, cached=True)
-        if artifact is not None:
-            return Response(id=request.id, result=artifact["reply"], cached=True)
         # In-flight coalescing: identical concurrent requests share one
         # worker dispatch (the request-batching layer in front of the pool).
         producer = self._inflight.get(key)
@@ -580,8 +570,8 @@ class ReproService:
                     pass
         # shield(): a waiter's timeout must not cancel the shared work —
         # it keeps running and lands in the store for the next asker.
-        reply = await asyncio.wait_for(asyncio.shield(producer), timeout)
-        return Response(id=request.id, result=reply, coalesced=coalesced)
+        reply_bytes = await asyncio.wait_for(asyncio.shield(producer), timeout)
+        return Response(id=request.id, result_bytes=reply_bytes, coalesced=coalesced)
 
     async def _produce(
         self,
@@ -589,8 +579,8 @@ class ReproService:
         task: dict,
         rctx: _RequestTrace = _NULL_REQUEST_TRACE,
         dispatch_hex: str | None = None,
-    ) -> dict:
-        """Run one work item in the pool; store the artifact on success."""
+    ) -> bytes:
+        """Run one work item in the pool; store and return its reply bytes."""
         # The producer outlives its initiating request (waiters may time
         # out while the work proceeds), so the dispatch span lives on its
         # own tracer lane, parented to the accept span by hex id.
@@ -605,24 +595,15 @@ class ReproService:
         try:
             with lane.span("service.dispatch", **meta):
                 product = await self._execute(task)
-            if product.artifact is not None:
-                if product.injected == "corrupt":
-                    # Chaos mode damaged the stored blob.  Store it with
-                    # *no* reply-bytes fast path: the next warm lookup
-                    # must go through get() and exercise the store's
-                    # corrupt-pickle-as-miss recovery (recompile), never
-                    # serve bytes derived from the damaged pickle.
-                    self.store.put_bytes(key, product.artifact)
-                else:
-                    reply_bytes = json.dumps(
-                        product.reply, sort_keys=True, separators=(",", ":")
-                    ).encode("utf-8")
-                    self.store.put_bytes(key, product.artifact, reply_bytes=reply_bytes)
+            reply_bytes = json.dumps(
+                product.reply, sort_keys=True, separators=(",", ":")
+            ).encode("utf-8")
+            self.store.put(key, reply_bytes)
             if self.tracer.enabled:
                 self.tracer.merge(product.trace)
             if product.metrics:
                 self.metrics.merge_snapshot(product.metrics)
-            return product.reply
+            return reply_bytes
         finally:
             self._inflight.pop(key, None)
             self._inflight_hex.pop(key, None)

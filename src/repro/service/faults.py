@@ -7,11 +7,6 @@ the ways a worker can misbehave:
   (the daemon turns it into a clean error reply).
 - ``hang_rate`` — the worker sleeps ``hang_seconds`` before answering
   (long enough to trip the per-request timeout when configured so).
-- ``corrupt_rate`` — the worker's artifact pickle is truncated/garbled
-  before it reaches the store.  The daemon detects this and suppresses
-  the reply-bytes fast path for the entry, so the *cold* reply is still
-  correct and the next warm lookup takes the ``corrupt-pickle-as-miss``
-  recovery path and recompiles.
 - ``crash_rate`` — the worker process dies via ``os._exit`` (exercises
   the pool-rebuild + requeue path).
 
@@ -19,7 +14,9 @@ The plan is threaded **daemon -> task dict -> worker** (never read from
 the environment inside the worker), so in-process calls to
 ``service_work`` — the loadgen verify oracle, tests — are never
 accidentally fault-injected.  ``FaultPlan.from_env`` exists for the CLI:
-``REPRO_FAULT_PLAN='{"error_rate": 0.05}' repro serve ...``.
+``REPRO_FAULT_PLAN='{"error_rate": 0.05}' repro serve ...``.  A plan
+naming a field :class:`FaultPlan` does not have is rejected, never
+silently dropped: a misspelt kind would otherwise serve with no chaos.
 
 Draws are deterministic per ``(plan seed, pid, request counter)`` so a
 chaos run is reproducible given a single worker process.
@@ -47,12 +44,11 @@ class FaultPlan:
     error_rate: float = 0.0
     hang_rate: float = 0.0
     hang_seconds: float = 2.0
-    corrupt_rate: float = 0.0
     crash_rate: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("error_rate", "hang_rate", "corrupt_rate", "crash_rate"):
+        for name in ("error_rate", "hang_rate", "crash_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
@@ -61,9 +57,7 @@ class FaultPlan:
 
     @property
     def active(self) -> bool:
-        return any(
-            (self.error_rate, self.hang_rate, self.corrupt_rate, self.crash_rate)
-        )
+        return any((self.error_rate, self.hang_rate, self.crash_rate))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -72,8 +66,10 @@ class FaultPlan:
     def from_dict(cls, payload: dict | None) -> "FaultPlan":
         if not payload:
             return cls()
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in payload.items() if k in known})
+        unknown = sorted(set(payload) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown fault-plan field(s): {', '.join(unknown)}")
+        return cls(**payload)
 
     @classmethod
     def from_env(cls, environ: dict | None = None) -> "FaultPlan":
@@ -90,7 +86,7 @@ class FaultPlan:
         return cls.from_dict(payload)
 
 
-#: "none" | "error" | "hang" | "corrupt" | "crash"
+#: "none" | "error" | "hang" | "crash"
 def draw(plan: FaultPlan, rng: random.Random) -> str:
     """One fault decision; independent uniform draw per category."""
     if rng.random() < plan.crash_rate:
@@ -99,18 +95,4 @@ def draw(plan: FaultPlan, rng: random.Random) -> str:
         return "error"
     if rng.random() < plan.hang_rate:
         return "hang"
-    if rng.random() < plan.corrupt_rate:
-        return "corrupt"
     return "none"
-
-
-def corrupt_bytes(blob: bytes, rng: random.Random) -> bytes:
-    """Damage a pickle so ``pickle.loads`` reliably fails.
-
-    Truncating mid-stream and splicing in ``\\x00`` (not a pickle
-    opcode) guarantees an unpickle error; a random bit flip would not —
-    it can yield a *valid* pickle of wrong data, which the store could
-    never detect and would serve as a correct-looking warm reply.
-    """
-    keep = rng.randrange(0, max(1, len(blob) // 2))
-    return blob[:keep] + b"\x00chaos"

@@ -111,8 +111,8 @@ class Response:
     elapsed_ms: float | None = None
     #: Pre-encoded canonical ``result`` JSON (no whitespace, sorted keys).
     #: When set, :meth:`encode` splices these bytes verbatim instead of
-    #: re-serializing ``result`` — the warm path serves the byte string
-    #: the artifact store remembered from the cold compile.
+    #: re-serializing ``result`` — every work-op reply is the byte string
+    #: the artifact store holds for its address.
     result_bytes: bytes | None = None
 
     def encode(self) -> bytes:

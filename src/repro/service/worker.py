@@ -3,10 +3,11 @@
 :func:`service_work` is the process-pool entry point: it receives one
 picklable task dict, drives a :class:`repro.Session` through the
 requested phase, and ships back a :class:`WorkProduct` — the
-JSON-serializable reply payload, the pickled artifact blob for the
-daemon's content-addressed store, the worker's trace shard, and a
+JSON-serializable reply payload, the worker's trace shard, and a
 metrics snapshot whose timings are read off that shard's spans (the
-span is the only timer; see :func:`_record_op_metrics`).
+span is the only timer; see :func:`_record_op_metrics`).  The daemon
+encodes the reply once and keeps those bytes in its content-addressed
+store.
 
 Two amortization layers stack here:
 
@@ -27,7 +28,6 @@ and why a warm hit is bit-identical to the cold compile.
 from __future__ import annotations
 
 import os
-import pickle
 import random
 import time
 from dataclasses import dataclass
@@ -35,8 +35,9 @@ from dataclasses import dataclass
 from ..analysis import AnalysisConfig
 from ..inlining.pipeline import SCALAR_STAGES
 from ..obs import MemorySink, MetricsRegistry, Tracer, TraceShard, mint_span_id
+from ..runtime import run_program
 from ..session import CompileConfig, SessionPool
-from .faults import FaultPlan, InjectedFault, corrupt_bytes, draw
+from .faults import FaultPlan, InjectedFault, draw
 
 
 def config_from_dict(payload: dict | None) -> CompileConfig:
@@ -76,12 +77,7 @@ class WorkProduct:
     """What one worker ships back for one request."""
 
     reply: dict
-    #: Pickled artifact blob for the store (``None`` for uncacheable ops).
-    artifact: bytes | None
     trace: TraceShard
-    #: Set when a fault plan damaged this product ("corrupt"); the
-    #: daemon must then not trust the artifact's fast paths.
-    injected: str | None = None
     #: Metrics-registry snapshot (:meth:`MetricsRegistry.to_dict`) —
     #: worker-side deltas (per-op latency and pipeline stage timings read
     #: off ``trace``'s spans, self-reportable fault kinds) the daemon
@@ -104,7 +100,8 @@ def _sessions() -> SessionPool:
 
 
 def analysis_summary(report) -> dict:
-    """The analysis digest stored with every artifact."""
+    """The analysis digest an ``analyze`` reply carries (and ``optimize``
+    draws its counts from)."""
     manager = report.analysis.manager
     return {
         "method_contours": report.analysis.method_contour_count(),
@@ -129,11 +126,10 @@ def service_work(task: dict) -> WorkProduct:
         # Robustness-test op (gated daemon-side): die like a segfaulting
         # worker would — no exception, no cleanup, just a dead process.
         os._exit(1)
+    metrics = MetricsRegistry()
     # Chaos mode: the daemon threads its FaultPlan through the task dict
     # (never the environment), so direct in-process calls — the loadgen
     # verify oracle, tests — are never fault-injected.
-    fault = "none"
-    rng: random.Random | None = None
     plan = FaultPlan.from_dict(task.get("faults"))
     if plan.active:
         global _FAULT_COUNTER
@@ -146,24 +142,21 @@ def service_work(task: dict) -> WorkProduct:
         fault = draw(plan, rng)
         if fault == "crash":
             os._exit(1)
-        if fault == "hang":
-            time.sleep(plan.hang_seconds)
-        elif fault == "error":
+        if fault == "error":
             raise InjectedFault(f"injected worker fault (op {op!r})")
+        if fault == "hang":
+            # The only fault kind a worker can self-report: crash never
+            # returns and error raises before any product exists — the
+            # daemon attributes those two (see ReproService).
+            metrics.counter(
+                "service_faults_total", "Injected chaos faults", labels=("kind",)
+            ).labels(kind="hang").inc()
+            time.sleep(plan.hang_seconds)
     tracer = Tracer(MemorySink())
-    metrics = MetricsRegistry()
-    # Hang and corrupt are the only fault kinds a worker can self-report:
-    # crash never returns and error raises before any product exists —
-    # the daemon attributes those two (see ReproService).
-    if fault in ("hang", "corrupt"):
-        metrics.counter(
-            "service_faults_total", "Injected chaos faults", labels=("kind",)
-        ).labels(kind=fault).inc()
     config = config_from_dict(task.get("config"))
     session = _sessions().session(
         task["source"], tenant=task.get("tenant", "default"), path=task.get("path")
     )
-    artifact: bytes | None = None
     report = None
     # The propagated trace context: the daemon's dispatch span is this
     # span's causal parent; the hex ids in the meta survive the trace
@@ -179,9 +172,6 @@ def service_work(task: dict) -> WorkProduct:
         if op == "analyze":
             report = session.optimize(config, tracer=tracer)
             reply = {"op": op, **analysis_summary(report)}
-            artifact = pickle.dumps(
-                {"program": report.program, "summary": analysis_summary(report), "reply": reply}
-            )
         elif op == "optimize":
             report = session.optimize(config, tracer=tracer)
             summary = analysis_summary(report)
@@ -199,9 +189,6 @@ def service_work(task: dict) -> WorkProduct:
                     for k in ("method_contours", "object_contours", "widened_callables")
                 },
             }
-            artifact = pickle.dumps(
-                {"program": report.program, "summary": summary, "reply": reply}
-            )
         elif op == "run":
             build = task.get("build", "inline")
             if build == "plain":
@@ -209,37 +196,25 @@ def service_work(task: dict) -> WorkProduct:
             else:
                 report = session.optimize(_build_config(build, config), tracer=tracer)
                 program = report.program
-            result = session_run(
-                session,
-                program,
-                tracer,
-                max_steps=task.get("max_steps"),
-                max_heap_cells=task.get("max_heap_cells"),
-            )
+            # Budgets make execution hang-proof: a runaway program raises
+            # ResourceLimitError, which the daemon answers as a clean
+            # error reply instead of a worker timeout kill.
+            budgets = {
+                name: int(task[name])
+                for name in ("max_steps", "max_heap_cells")
+                if task.get(name) is not None
+            }
+            result = run_program(program, tracer=tracer, **budgets)
             reply = {
                 "op": op,
                 "build": build,
                 "output": list(result.output),
                 "cycles": result.stats.cycles(),
             }
-            artifact = pickle.dumps({"program": program, "summary": None, "reply": reply})
         else:
             raise ValueError(f"unsupported worker op {op!r}")
-    injected: str | None = None
-    if fault == "corrupt" and artifact is not None and rng is not None:
-        # The *reply* stays correct — only the stored blob is damaged, so
-        # the recovery under test is the store's corrupt-pickle-as-miss
-        # path on the next warm lookup, never a wrong client answer.
-        artifact = corrupt_bytes(artifact, rng)
-        injected = "corrupt"
     _record_op_metrics(metrics, tracer.span_totals, op, report)
-    return WorkProduct(
-        reply=reply,
-        artifact=artifact,
-        trace=tracer.shard(),
-        injected=injected,
-        metrics=metrics.to_dict(),
-    )
+    return WorkProduct(reply=reply, trace=tracer.shard(), metrics=metrics.to_dict())
 
 
 def _record_op_metrics(
@@ -300,20 +275,3 @@ def _build_config(build: str, config: CompileConfig) -> CompileConfig:
     if base is None:
         raise ValueError(f"unknown build {build!r}")
     return dataclasses.replace(config, **base)
-
-
-def session_run(session, program, tracer, max_steps=None, max_heap_cells=None):
-    """Execute ``program`` on the VM under the worker tracer.
-
-    Budgets make execution hang-proof: a runaway program raises
-    :class:`repro.runtime.ResourceLimitError`, which the daemon maps to
-    a clean error reply instead of a worker timeout kill.
-    """
-    from ..runtime import run_program as _run_program
-
-    kwargs: dict = {}
-    if max_steps is not None:
-        kwargs["max_steps"] = int(max_steps)
-    if max_heap_cells is not None:
-        kwargs["max_heap_cells"] = int(max_heap_cells)
-    return _run_program(program, tracer=tracer, **kwargs)

@@ -7,6 +7,7 @@ per merged worker shard); the collapsed output must round-trip through
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -218,7 +219,7 @@ class TestExportCLI:
     def test_export_flame_default_path(self, trace_file, capsys):
         assert main(["export", "flame", trace_file]) == 0
         capsys.readouterr()
-        parsed = parse_collapsed(open(f"{trace_file}.collapsed.txt").read())
+        parsed = parse_collapsed(Path(f"{trace_file}.collapsed.txt").read_text())
         assert ("root", "child", "leaf") in parsed
 
     def test_export_missing_file_fails_cleanly(self, tmp_path, capsys):
@@ -249,5 +250,5 @@ class TestExportCLI:
         with open(chrome) as handle:
             events = json.load(handle)["traceEvents"]
         assert any(e["ph"] == "X" and e["name"] == "optimize" for e in events)
-        parsed = parse_collapsed(open(flame).read())
+        parsed = parse_collapsed(Path(flame).read_text())
         assert any(path[0] == "optimize" for path in parsed)

@@ -9,12 +9,15 @@ import json
 import os
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.obs.metrics import MetricsRegistry, digest
 from repro.service import (
+    FAULT_PLAN_ENV,
+    FaultPlan,
     ProtocolError,
     Request,
     Response,
@@ -182,15 +185,25 @@ class TestArtifactCache:
         assert canonical(cold) == canonical(warm)
 
     def test_warm_reply_served_from_cached_bytes(self, service, sock):
-        # The warm path skips unpickle + re-encode: the store remembers
-        # the canonical reply bytes and the daemon splices them in.
+        # The store remembers the canonical reply bytes and the daemon
+        # splices them in: one lookup, no re-encode.
         config = CompileConfig().to_dict()
         with ServiceClient(sock) as client:
             cold = client.request("optimize", source=SOURCE, config=config)
             warm = client.request("optimize", source=SOURCE, config=config)
             snapshot = client.metrics()
         assert warm.cached and warm.result == cold.result
-        assert _series(snapshot, "service_store_hits_total", path="reply_bytes") >= 1
+        assert _series(snapshot, "service_store_hits_total") >= 1
+
+    def test_store_holds_one_copy_of_the_reply(self, service, sock):
+        # The entry is the reply's wire bytes and nothing beside them.
+        with ServiceClient(sock) as client:
+            cold = client.request("optimize", source=SOURCE)
+            snapshot = client.metrics()
+        assert cold.ok and not cold.cached
+        canonical = json.dumps(cold.result, sort_keys=True, separators=(",", ":"))
+        assert _series(snapshot, "service_store_entries") == 1
+        assert _series(snapshot, "service_store_bytes") == len(canonical.encode())
 
     def test_cache_key_includes_config(self, service, sock):
         with ServiceClient(sock) as client:
@@ -293,7 +306,7 @@ class TestServiceTracing:
         # `repro export chrome` on the daemon's shard: no manual merging.
         out = str(tmp_path / "service.chrome.json")
         assert main(["export", "chrome", trace_path, "-o", out]) == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text())
         events = payload["traceEvents"]
         work_spans = [
             e for e in events if e.get("ph") == "X" and e["name"] == "service.work"
@@ -397,7 +410,7 @@ class TestLoadgen:
         rendered = capsys.readouterr().out
         assert "errors: 0" in rendered
         assert "p50" in rendered and "p99" in rendered
-        payload = json.loads(open(out_json).read())
+        payload = json.loads(Path(out_json).read_text())
         assert payload["errors"] == 0
         assert payload["latency"]["count"] == 12
 
@@ -455,8 +468,6 @@ class TestChaosAndRobustness:
             handle_box["handle"].stop()
 
     def test_injected_error_becomes_clean_error_reply(self, sock):
-        from repro.service import FaultPlan
-
         plan = FaultPlan(error_rate=1.0)
         with ServiceThread(sock, workers=1, fault_plan=plan) as handle:
             with ServiceClient(handle.socket_path) as client:
@@ -468,31 +479,12 @@ class TestChaosAndRobustness:
                 assert client.ping()
 
     def test_worker_crash_is_survived(self, sock):
-        from repro.service import FaultPlan
-
         plan = FaultPlan(crash_rate=1.0)
         with ServiceThread(sock, workers=1, fault_plan=plan) as handle:
             with ServiceClient(handle.socket_path, timeout=60.0) as client:
                 response = client.request("run", source=SOURCE, build="plain")
                 assert not response.ok  # the request fails cleanly...
                 assert client.ping()  # ...and the daemon keeps serving
-
-    def test_corrupt_artifact_never_reaches_clients(self, sock):
-        from repro.service import FaultPlan
-
-        plan = FaultPlan(corrupt_rate=1.0)
-        with ServiceThread(sock, workers=1, fault_plan=plan) as handle:
-            with ServiceClient(handle.socket_path) as client:
-                first = client.run(SOURCE, build="plain")
-                second = client.run(SOURCE, build="plain")
-                assert first.result["output"] == ["5"]
-                # The poisoned store entry is detected on the warm path
-                # (corrupt-pickle-as-miss) and recompiled, so the second
-                # reply is correct too — just not warm.
-                assert second.result["output"] == ["5"]
-                snapshot = client.metrics()
-                assert _series(snapshot, "service_faults_total", kind="corrupt") >= 1
-                assert _series(snapshot, "service_store_corrupt_total") >= 1
 
     def test_resource_budget_is_a_clean_error_reply(self, service, sock):
         with ServiceClient(sock) as client:
@@ -516,9 +508,9 @@ class TestChaosAndRobustness:
             assert roomy.ok and roomy.result["output"] == ["100000"]
 
     def test_chaos_loadgen_has_zero_incorrect_replies(self, sock):
-        from repro.service import FaultPlan, run_loadgen
+        from repro.service import run_loadgen
 
-        plan = FaultPlan(error_rate=0.1, corrupt_rate=0.1, seed=7)
+        plan = FaultPlan(error_rate=0.1, hang_rate=0.1, hang_seconds=0.05, seed=7)
         with ServiceThread(sock, workers=1, fault_plan=plan):
             report = run_loadgen(
                 sock,
@@ -532,6 +524,31 @@ class TestChaosAndRobustness:
         assert report.verified
         assert report.incorrect == 0
         assert report.incorrect_samples == []
+
+
+class TestFaultPlan:
+    """A plan naming no known fault is an error, never a clean run."""
+
+    @pytest.mark.parametrize("kind", ["corrupt", "eror"])
+    def test_unknown_field_is_rejected(self, kind):
+        # A kind that no longer exists, and a misspelt one.
+        with pytest.raises(ValueError, match=f"{kind}_rate"):
+            FaultPlan.from_dict({f"{kind}_rate": 0.1})
+
+    def test_unknown_env_key_is_rejected(self):
+        with pytest.raises(ValueError, match="eror_rate"):
+            FaultPlan.from_env({FAULT_PLAN_ENV: '{"eror_rate": 1}'})
+
+    def test_loadgen_rejects_unknown_kind(self, capsys):
+        argv = ["loadgen", "--self-host", "--requests", "1", "--fault-plan", "corrupt=0.1"]
+        assert main(argv) == 2
+        assert "bad fault plan" in capsys.readouterr().err
+
+    def test_serve_rejects_plan_before_listening(self, sock, capsys):
+        assert main(["serve", "--socket", sock, "--fault-plan", "hang=2"]) == 2
+        captured = capsys.readouterr()
+        assert "bad fault plan" in captured.err
+        assert "listening" not in captured.out
 
 
 class TestWorkerMetrics:

@@ -12,6 +12,7 @@ requests (marker spans linking to the shared dispatch) and crash-requeue
 import json
 import os
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -159,7 +160,7 @@ class TestRequestTree:
         out = str(tmp_path / "stitched.chrome.json")
         argv = ["export", "chrome", *map(str, client_traces), service_trace, "-o", out]
         assert main(argv) == 0
-        events = json.loads(open(out).read())["traceEvents"]
+        events = json.loads(Path(out).read_text())["traceEvents"]
         flows = [e for e in events if e.get("ph") in ("s", "f")]
         assert sum(1 for e in flows if e["ph"] == "s") == coalesced
         assert sum(1 for e in flows if e["ph"] == "f") == coalesced
